@@ -11,7 +11,7 @@ use sim_core::{DeterministicRng, SimDuration};
 use std::collections::VecDeque;
 use std::error::Error;
 use std::fmt;
-use vswap_mem::{ContentLabel, Gfn, IndexList, Vpn};
+use vswap_mem::{ChunkedTable, ContentLabel, Gfn, IndexList, Vpn};
 
 /// What a guest-physical page is used for, from the guest's point of view.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -41,7 +41,8 @@ pub enum GuestPageState {
 pub enum GuestError {
     /// Memory could not be found even after invoking the OOM killer.
     OutOfMemory,
-    /// The operation targeted a process the OOM killer has reaped.
+    /// The operation targeted a dead process: one the OOM killer has
+    /// reaped, or one that has exited.
     ProcessKilled(ProcId),
     /// The filesystem cannot hold a new file.
     FsFull(FsFullError),
@@ -72,77 +73,129 @@ struct CacheEntry {
     label: ContentLabel,
 }
 
-/// Dense page-cache index over image pages, stored as parallel arrays
-/// whose empty state is all-zero bytes: construction over a multi-
-/// gigabyte disk image is one `alloc_zeroed` (lazily mapped), not an
-/// eager fill per guest.
+/// One cached image page, packed into 16 bytes; all-zero = not cached.
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
+struct CacheSlot {
+    /// `(gfn + 1) << 1 | dirty`.
+    key: u64,
+    /// Raw content label.
+    label: u64,
+}
+
+/// Page-cache index over image pages. Chunked, so a guest pays for the
+/// pages it has cached, not for the size of its disk.
 #[derive(Debug)]
 struct CacheIndex {
-    /// `gfn + 1` per image page; `0` = not cached.
-    gfn: Vec<u64>,
-    /// Raw content label per cached image page.
-    label: Vec<u64>,
-    /// Dirty bit per image page (set only while the page is cached).
-    dirty_bits: Vec<u64>,
+    slots: ChunkedTable<CacheSlot>,
 }
 
 impl CacheIndex {
     fn new(pages: u64) -> Self {
-        CacheIndex {
-            gfn: vec![0; pages as usize],
-            label: vec![0; pages as usize],
-            dirty_bits: vec![0; (pages as usize).div_ceil(64)],
-        }
+        CacheIndex { slots: ChunkedTable::new(pages) }
     }
 
     fn is_cached(&self, page: u64) -> bool {
-        self.gfn[page as usize] != 0
+        self.slots.get(page).key != 0
     }
 
     fn get(&self, page: u64) -> Option<CacheEntry> {
-        let gfn = self.gfn[page as usize].checked_sub(1)?;
+        let slot = self.slots.get(page);
+        let gfn = (slot.key >> 1).checked_sub(1)?;
         Some(CacheEntry {
             gfn: Gfn::new(gfn),
-            dirty: self.dirty(page),
-            label: ContentLabel::from_raw(self.label[page as usize]),
+            dirty: slot.key & 1 != 0,
+            label: ContentLabel::from_raw(slot.label),
         })
     }
 
     fn insert(&mut self, page: u64, entry: CacheEntry) {
-        self.gfn[page as usize] = entry.gfn.get() + 1;
-        self.label[page as usize] = entry.label.get();
-        self.set_dirty(page, entry.dirty);
+        let key = ((entry.gfn.get() + 1) << 1) | u64::from(entry.dirty);
+        self.slots.set(page, CacheSlot { key, label: entry.label.get() });
     }
 
     fn remove(&mut self, page: u64) {
-        self.gfn[page as usize] = 0;
-        self.label[page as usize] = 0;
-        self.set_dirty(page, false);
+        self.slots.take(page);
     }
 
     fn set_label(&mut self, page: u64, label: ContentLabel) {
-        self.label[page as usize] = label.get();
+        let slot = self.slots.get(page);
+        debug_assert!(slot.key != 0, "labelling uncached page {page}");
+        self.slots.set(page, CacheSlot { label: label.get(), ..slot });
     }
 
     fn dirty(&self, page: u64) -> bool {
-        self.dirty_bits[(page / 64) as usize] & (1u64 << (page % 64)) != 0
+        self.slots.get(page).key & 1 != 0
     }
 
     fn set_dirty(&mut self, page: u64, dirty: bool) {
-        let mask = 1u64 << (page % 64);
-        if dirty {
-            self.dirty_bits[(page / 64) as usize] |= mask;
-        } else {
-            self.dirty_bits[(page / 64) as usize] &= !mask;
-        }
+        let slot = self.slots.get(page);
+        debug_assert!(slot.key != 0, "dirtying uncached page {page}");
+        self.slots.set(page, CacheSlot { key: (slot.key & !1) | u64::from(dirty), ..slot });
     }
 
     fn cached_count(&self) -> u64 {
-        self.gfn.iter().filter(|&&g| g != 0).count() as u64
+        self.slots.occupied()
     }
 
     fn dirty_count(&self) -> u64 {
-        self.dirty_bits.iter().map(|w| u64::from(w.count_ones())).sum()
+        self.slots.iter().filter(|(_, slot)| slot.key & 1 != 0).count() as u64
+    }
+}
+
+// Packed guest page state: bits 0..3 hold the kind. `Cache` keeps its
+// image page above them; `Anon` its process in bits 3..32 and its virtual
+// page in bits 32..64. `0` is `Free`, so a new table is one zeroed
+// allocation rather than a fill.
+const STATE_FREE: u64 = 0;
+const STATE_KERNEL: u64 = 1;
+const STATE_CACHE: u64 = 2;
+const STATE_ANON: u64 = 3;
+const STATE_BALLOON: u64 = 4;
+const STATE_KIND_BITS: u64 = 0x7;
+const STATE_SHIFT: u32 = 3;
+const STATE_PROC_BITS: u64 = (1 << 29) - 1;
+const STATE_VPN_SHIFT: u32 = 32;
+
+/// What every guest-physical page is used for, one packed word per gfn.
+#[derive(Debug)]
+struct PageStates(Vec<u64>);
+
+impl PageStates {
+    fn new(gfn_count: u64) -> Self {
+        PageStates(vec![STATE_FREE; gfn_count as usize])
+    }
+
+    fn get(&self, index: usize) -> GuestPageState {
+        let bits = self.0[index];
+        match bits & STATE_KIND_BITS {
+            STATE_FREE => GuestPageState::Free,
+            STATE_KERNEL => GuestPageState::Kernel,
+            STATE_CACHE => GuestPageState::Cache { image_page: bits >> STATE_SHIFT },
+            STATE_ANON => GuestPageState::Anon {
+                proc: ProcId::new(((bits >> STATE_SHIFT) & STATE_PROC_BITS) as u32),
+                vpn: Vpn::new(bits >> STATE_VPN_SHIFT),
+            },
+            STATE_BALLOON => GuestPageState::Balloon,
+            kind => unreachable!("corrupt guest page state kind {kind}"),
+        }
+    }
+
+    fn set(&mut self, index: usize, state: GuestPageState) {
+        self.0[index] = match state {
+            GuestPageState::Free => STATE_FREE,
+            GuestPageState::Kernel => STATE_KERNEL,
+            GuestPageState::Cache { image_page } => STATE_CACHE | (image_page << STATE_SHIFT),
+            GuestPageState::Anon { proc, vpn } => {
+                assert!(u64::from(proc.get()) <= STATE_PROC_BITS, "pid out of packed range");
+                assert!(vpn.get() < 1 << 32, "vpn out of packed range");
+                STATE_ANON | (u64::from(proc.get()) << STATE_SHIFT) | (vpn.get() << STATE_VPN_SHIFT)
+            }
+            GuestPageState::Balloon => STATE_BALLOON,
+        };
+    }
+
+    fn iter(&self) -> impl Iterator<Item = GuestPageState> + '_ {
+        (0..self.0.len()).map(|i| self.get(i))
     }
 }
 
@@ -154,12 +207,12 @@ const MIN_CACHE_PAGES: usize = 64;
 #[derive(Debug)]
 pub struct GuestKernel {
     spec: GuestSpec,
-    page_state: Vec<GuestPageState>,
+    page_state: PageStates,
     free_gfns: VecDeque<Gfn>,
-    /// Page-cache index, dense over image pages (`spec.disk.pages()`
-    /// entries). The reverse gfn → image-page direction lives in
-    /// `page_state` as [`GuestPageState::Cache`], so cache lookups in
-    /// both directions are array reads — no hashing on the fault path.
+    /// Page-cache index over image pages (`spec.disk.pages()` entries).
+    /// The reverse gfn → image-page direction lives in `page_state` as
+    /// [`GuestPageState::Cache`], so cache lookups in both directions are
+    /// array reads — no hashing on the fault path.
     cache: CacheIndex,
     cache_len: u64,
     cache_lru: IndexList,
@@ -182,6 +235,9 @@ pub struct GuestKernel {
     /// Reusable readahead-window snapshot for [`GuestKernel::guest_swap_in`];
     /// kept across faults so the steady state allocates nothing.
     swapin_scratch: Vec<(u64, GuestSlotInfo)>,
+    /// Reusable victim list and request buffer for
+    /// [`GuestKernel::writeback_batch`], for the same reason.
+    writeback_scratch: (Vec<u64>, Vec<Gfn>),
 }
 
 impl GuestKernel {
@@ -198,9 +254,9 @@ impl GuestKernel {
         let swap_pages = spec.swap.pages();
         let disk_pages = spec.disk.pages();
         assert!(swap_pages < disk_pages, "swap larger than guest disk");
-        let mut page_state = vec![GuestPageState::Free; gfn_count as usize];
-        for s in page_state.iter_mut().take(spec.kernel_pages as usize) {
-            *s = GuestPageState::Kernel;
+        let mut page_state = PageStates::new(gfn_count);
+        for gfn in 0..spec.kernel_pages as usize {
+            page_state.set(gfn, GuestPageState::Kernel);
         }
         // Lowest free gfn is handed out first. Freed pages are reused
         // FIFO (coldest first): at the scale of a busy kernel, a freed
@@ -227,6 +283,7 @@ impl GuestKernel {
             op_counter: 0,
             kernel_touch_cursor: 0,
             swapin_scratch: Vec::new(),
+            writeback_scratch: (Vec::new(), Vec::new()),
             spec,
         }
     }
@@ -284,7 +341,7 @@ impl GuestKernel {
             .enumerate()
             .filter_map(|(idx, state)| {
                 let gfn = Gfn::new(idx as u64);
-                match *state {
+                match state {
                     GuestPageState::Cache { image_page } => {
                         Some((gfn, self.cache.get(image_page).expect("cached").label))
                     }
@@ -303,9 +360,20 @@ impl GuestKernel {
             .collect()
     }
 
-    /// True if the process is still alive (not reaped by the OOM killer).
+    /// True if the process is still alive: it has neither exited nor been
+    /// reaped by the OOM killer.
     pub fn is_alive(&self, proc: ProcId) -> bool {
         self.processes.get(proc.index()).is_some_and(|p| p.alive)
+    }
+
+    /// Virtual pages in the process's page table (zero once it is dead).
+    pub fn address_space_pages(&self, proc: ProcId) -> u64 {
+        self.processes.get(proc.index()).map_or(0, |p| p.pages.len() as u64)
+    }
+
+    /// Processes ever spawned, dead or alive (pids are `0..count`).
+    pub fn process_count(&self) -> u32 {
+        self.processes.len() as u32
     }
 
     /// Size of a file in pages.
@@ -494,7 +562,7 @@ impl GuestKernel {
         let mut elapsed = self.sync(hw);
         while let Some(idx) = self.cache_lru.pop_front() {
             let gfn = Gfn::new(idx as u64);
-            let GuestPageState::Cache { image_page } = self.page_state[idx] else {
+            let GuestPageState::Cache { image_page } = self.page_state.get(idx) else {
                 unreachable!("cache LRU holds only cache pages");
             };
             self.cache.remove(image_page);
@@ -516,7 +584,7 @@ impl GuestKernel {
     /// and free pages need no invalidation. Returns `true` if guest
     /// state changed.
     pub fn crash_drop_page(&mut self, gfn: Gfn) -> bool {
-        match self.page_state[gfn.index()] {
+        match self.page_state.get(gfn.index()) {
             GuestPageState::Cache { image_page } => {
                 self.clear_dirty(image_page);
                 self.cache_lru.remove(gfn.index());
@@ -649,6 +717,20 @@ impl GuestKernel {
         Ok(elapsed)
     }
 
+    /// Ends a process: every page it holds goes back (resident frames to
+    /// the free list, guest swap slots to the partition, in virtual-page
+    /// order) and its page table is dropped. The process counts as dead
+    /// from then on, so the OOM killer never picks it.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`GuestError::ProcessKilled`] if the process is dead.
+    pub fn exit_process(&mut self, proc: ProcId) -> Result<(), GuestError> {
+        self.check_alive(proc)?;
+        self.reap(proc);
+        Ok(())
+    }
+
     /// Frees `count` anonymous pages of `proc` starting at `vpn`.
     ///
     /// # Errors
@@ -698,7 +780,7 @@ impl GuestKernel {
                     return Err(e);
                 }
             };
-            self.page_state[gfn.index()] = GuestPageState::Balloon;
+            self.page_state.set(gfn.index(), GuestPageState::Balloon);
             hw.balloon_release(gfn);
             self.balloon.push(gfn);
             // Guest reclaim I/O time is charged through alloc_gfn's
@@ -707,7 +789,7 @@ impl GuestKernel {
         }
         while (self.balloon.len() as u64) > target {
             let gfn = self.balloon.pop().expect("balloon non-empty");
-            self.page_state[gfn.index()] = GuestPageState::Free;
+            self.page_state.set(gfn.index(), GuestPageState::Free);
             self.free_gfns.push_back(gfn);
         }
         self.stats.balloon_pages = self.balloon.len() as u64;
@@ -784,7 +866,7 @@ impl GuestKernel {
     fn drop_cache_victim(&mut self, hw: &mut dyn VirtualHardware) -> bool {
         let Some(idx) = self.cache_lru.front() else { return false };
         let gfn = Gfn::new(idx as u64);
-        let GuestPageState::Cache { image_page } = self.page_state[idx] else {
+        let GuestPageState::Cache { image_page } = self.page_state.get(idx) else {
             unreachable!("cache LRU holds only cache pages");
         };
         let entry = self.cache.get(image_page).expect("cached");
@@ -808,7 +890,7 @@ impl GuestKernel {
     fn swap_out_anon_victim(&mut self, hw: &mut dyn VirtualHardware) -> bool {
         let Some(idx) = self.anon_lru.front() else { return false };
         let gfn = Gfn::new(idx as u64);
-        let GuestPageState::Anon { proc, vpn } = self.page_state[idx] else {
+        let GuestPageState::Anon { proc, vpn } = self.page_state.get(idx) else {
             unreachable!("anon LRU holds only anon pages");
         };
         let AnonPage::Resident { label, .. } = self.processes[proc.index()].pages[vpn.index()]
@@ -902,8 +984,14 @@ impl GuestKernel {
             .map(|(i, _)| ProcId::new(i as u32));
         let Some(victim) = victim else { return };
         self.stats.oom_kills += 1;
-        let pages = std::mem::take(&mut self.processes[victim.index()].pages);
-        self.processes[victim.index()].alive = false;
+        self.reap(victim);
+    }
+
+    /// Marks a process dead, releases everything it holds, and frees its
+    /// page table.
+    fn reap(&mut self, proc: ProcId) {
+        let pages = std::mem::take(&mut self.processes[proc.index()].pages);
+        self.processes[proc.index()].alive = false;
         for page in pages {
             match page {
                 AnonPage::Untouched => {}
@@ -946,7 +1034,7 @@ impl GuestKernel {
     }
 
     fn install_cache_page(&mut self, gfn: Gfn, image_page: u64, label: ContentLabel, dirty: bool) {
-        self.page_state[gfn.index()] = GuestPageState::Cache { image_page };
+        self.page_state.set(gfn.index(), GuestPageState::Cache { image_page });
         debug_assert!(!self.cache.is_cached(image_page), "double-caching {image_page}");
         self.cache.insert(image_page, CacheEntry { gfn, dirty, label });
         self.cache_len += 1;
@@ -958,7 +1046,7 @@ impl GuestKernel {
     }
 
     fn install_anon_page(&mut self, gfn: Gfn, proc: ProcId, vpn: Vpn, label: ContentLabel) {
-        self.page_state[gfn.index()] = GuestPageState::Anon { proc, vpn };
+        self.page_state.set(gfn.index(), GuestPageState::Anon { proc, vpn });
         self.processes[proc.index()].pages[vpn.index()] = AnonPage::Resident { gfn, label };
         self.anon_lru.push_back(gfn.index());
     }
@@ -970,7 +1058,7 @@ impl GuestKernel {
     }
 
     fn release_gfn(&mut self, gfn: Gfn) {
-        self.page_state[gfn.index()] = GuestPageState::Free;
+        self.page_state.set(gfn.index(), GuestPageState::Free);
         self.free_gfns.push_back(gfn);
     }
 
@@ -1003,7 +1091,8 @@ impl GuestKernel {
     /// pages into single requests.
     fn writeback_batch(&mut self, hw: &mut dyn VirtualHardware, batch: u64) -> SimDuration {
         let mut elapsed = SimDuration::ZERO;
-        let mut victims: Vec<u64> = Vec::new();
+        let (mut victims, mut gfns) = std::mem::take(&mut self.writeback_scratch);
+        victims.clear();
         while victims.len() < batch as usize {
             let Some(image_page) = self.dirty_fifo.pop_front() else { break };
             if self.cache.is_cached(image_page) && self.cache.dirty(image_page) {
@@ -1017,8 +1106,8 @@ impl GuestKernel {
             while j < victims.len() && victims[j] == victims[j - 1] + 1 {
                 j += 1;
             }
-            let gfns: Vec<Gfn> =
-                victims[i..j].iter().map(|p| self.cache.get(*p).expect("cached").gfn).collect();
+            gfns.clear();
+            gfns.extend(victims[i..j].iter().map(|p| self.cache.get(*p).expect("cached").gfn));
             elapsed += hw.disk_write(&gfns, victims[i], true);
             for p in &victims[i..j] {
                 self.clear_dirty(*p);
@@ -1026,6 +1115,7 @@ impl GuestKernel {
             }
             i = j;
         }
+        self.writeback_scratch = (victims, gfns);
         elapsed
     }
 
@@ -1038,7 +1128,7 @@ impl GuestKernel {
         let mut counted_free = 0u64;
         for (i, state) in self.page_state.iter().enumerate() {
             let gfn = Gfn::new(i as u64);
-            match *state {
+            match state {
                 GuestPageState::Free => counted_free += 1,
                 GuestPageState::Kernel | GuestPageState::Balloon => {}
                 GuestPageState::Cache { image_page } => {
@@ -1230,6 +1320,32 @@ mod tests {
         assert_eq!(g.balloon_pages(), 20);
         assert!(g.free_pages() >= 80);
         g.audit().unwrap();
+    }
+
+    #[test]
+    fn exited_processes_free_everything_and_escape_the_oom_killer() {
+        let (mut g, mut hw) = small_guest();
+        let done = g.spawn_process();
+        let base = g.alloc_anon(done, 300).unwrap();
+        // More than fits: some pages end up in guest swap.
+        for i in 0..300 {
+            g.touch_anon(&mut hw, done, base.offset(i), true).unwrap();
+        }
+        assert!(g.swap.used() > 0);
+        g.exit_process(done).unwrap();
+        assert!(!g.is_alive(done));
+        assert_eq!(g.address_space_pages(done), 0);
+        assert_eq!(g.swap.used(), 0);
+        assert_eq!(g.anon_resident_pages(), 0);
+        assert_eq!(g.exit_process(done), Err(GuestError::ProcessKilled(done)));
+        g.audit().unwrap();
+        // Only the live (empty) process can be picked; once it is gone
+        // there is nobody left to kill.
+        let idle = g.spawn_process();
+        g.oom_kill();
+        assert!(!g.is_alive(idle));
+        g.oom_kill();
+        assert_eq!(g.stats().oom_kills, 1);
     }
 
     #[test]

@@ -103,7 +103,7 @@ impl<'a> GuestCtx<'a> {
         self.kernel.spawn_process()
     }
 
-    /// True if the process has not been OOM-killed.
+    /// True if the process has neither exited nor been OOM-killed.
     pub fn is_alive(&self, proc: ProcId) -> bool {
         self.kernel.is_alive(proc)
     }
@@ -180,6 +180,15 @@ impl<'a> GuestCtx<'a> {
     /// Returns [`GuestError::ProcessKilled`] if the process is dead.
     pub fn free_anon(&mut self, proc: ProcId, vpn: Vpn, count: u64) -> Result<(), GuestError> {
         self.kernel.free_anon(proc, vpn, count)
+    }
+
+    /// Ends a process, releasing all its memory and its page table.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`GuestError::ProcessKilled`] if the process is dead.
+    pub fn exit_process(&mut self, proc: ProcId) -> Result<(), GuestError> {
+        self.kernel.exit_process(proc)
     }
 
     /// Size of a file in pages.

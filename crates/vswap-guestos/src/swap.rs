@@ -3,10 +3,11 @@
 //! When a balloon squeezes the guest (or guest memory is simply too small
 //! for its anonymous working set), the guest swaps process pages to its
 //! swap partition — a region of its virtual disk. From the host's point of
-//! view that is ordinary virtual-disk I/O.
+//! view that is ordinary virtual-disk I/O. Slot allocation is the same
+//! cursor-scan [`SlotTable`] the host swap area uses.
 
 use crate::process::ProcId;
-use vswap_mem::{ContentLabel, Vpn};
+use vswap_mem::{ContentLabel, SlotRecord, SlotTable, Vpn};
 
 /// What one occupied guest swap slot holds.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -17,6 +18,16 @@ pub struct GuestSlotInfo {
     pub vpn: Vpn,
     /// Content stored in the slot.
     pub label: ContentLabel,
+}
+
+impl GuestSlotInfo {
+    fn unpack(record: SlotRecord) -> Self {
+        GuestSlotInfo {
+            proc: ProcId::new(record.owner()),
+            vpn: Vpn::new(record.page()),
+            label: record.label(),
+        }
+    }
 }
 
 /// The guest swap partition: page-sized slots over a virtual-disk region.
@@ -36,80 +47,29 @@ pub struct GuestSlotInfo {
 #[derive(Debug, Clone)]
 pub struct GuestSwap {
     base_page: u64,
-    slots: Vec<Option<GuestSlotInfo>>,
-    /// Free bitmap, one bit per slot; mirrors the host `SwapArea` shape
-    /// so slot allocation is a word scan, not a tree walk per swap-out.
-    free_bits: Vec<u64>,
-    free_count: u64,
-    cursor: u64,
-    /// No free slot exists below `low_hint * 64`; lowered on free so the
-    /// wrap scan stays amortized O(1).
-    low_hint: usize,
+    slots: SlotTable,
 }
 
 impl GuestSwap {
     /// Creates a swap partition of `pages` slots whose first slot lives at
     /// virtual-disk page `base_page`.
     pub fn new(base_page: u64, pages: u64) -> Self {
-        let words = (pages as usize).div_ceil(64);
-        let mut free_bits = vec![u64::MAX; words];
-        let tail = pages % 64;
-        if tail != 0 {
-            free_bits[words - 1] = (1u64 << tail) - 1;
-        }
-        GuestSwap {
-            base_page,
-            slots: vec![None; pages as usize],
-            free_bits,
-            free_count: pages,
-            cursor: 0,
-            low_hint: 0,
-        }
+        GuestSwap { base_page, slots: SlotTable::new(pages) }
     }
 
     /// Total slots.
     pub fn capacity(&self) -> u64 {
-        self.slots.len() as u64
+        self.slots.capacity()
     }
 
     /// Occupied slots.
     pub fn used(&self) -> u64 {
-        self.capacity() - self.free_count
-    }
-
-    /// First free slot at or after `start`, if any.
-    fn next_free_from(&self, start: u64) -> Option<u64> {
-        let mut word = start as usize / 64;
-        if word >= self.free_bits.len() {
-            return None;
-        }
-        let mut mask = self.free_bits[word] & !((1u64 << (start % 64)) - 1);
-        loop {
-            if mask != 0 {
-                return Some((word as u64) * 64 + u64::from(mask.trailing_zeros()));
-            }
-            word += 1;
-            if word >= self.free_bits.len() {
-                return None;
-            }
-            mask = self.free_bits[word];
-        }
+        self.slots.taken()
     }
 
     /// Allocates a slot (cursor scan with wrap, like the host allocator).
     pub fn alloc(&mut self, info: GuestSlotInfo) -> Option<u64> {
-        if self.free_count == 0 {
-            return None;
-        }
-        let slot = self
-            .next_free_from(self.cursor)
-            .or_else(|| self.next_free_from((self.low_hint as u64) * 64))
-            .expect("free_count > 0");
-        self.free_bits[slot as usize / 64] &= !(1u64 << (slot % 64));
-        self.free_count -= 1;
-        self.cursor = slot + 1;
-        self.slots[slot as usize] = Some(info);
-        Some(slot)
+        self.slots.alloc(SlotRecord::new(info.proc.get(), info.vpn.get(), info.label))
     }
 
     /// Frees a slot.
@@ -118,18 +78,12 @@ impl GuestSwap {
     ///
     /// Panics if the slot is already free.
     pub fn free(&mut self, slot: u64) {
-        let entry = &mut self.slots[slot as usize];
-        assert!(entry.is_some(), "freeing free guest swap slot {slot}");
-        *entry = None;
-        debug_assert_eq!(self.free_bits[slot as usize / 64] & (1u64 << (slot % 64)), 0);
-        self.free_bits[slot as usize / 64] |= 1u64 << (slot % 64);
-        self.free_count += 1;
-        self.low_hint = self.low_hint.min(slot as usize / 64);
+        self.slots.free(slot);
     }
 
     /// Contents of a slot, or `None` if free.
     pub fn get(&self, slot: u64) -> Option<GuestSlotInfo> {
-        self.slots[slot as usize]
+        self.slots.get(slot).map(GuestSlotInfo::unpack)
     }
 
     /// The virtual-disk image page a slot occupies.
@@ -137,20 +91,14 @@ impl GuestSwap {
         self.base_page + slot
     }
 
-    /// Occupied slots in `[start, start + window)`, for guest swap
-    /// readahead.
-    pub fn window(&self, start: u64, window: u64) -> Vec<(u64, GuestSlotInfo)> {
-        let end = (start + window).min(self.capacity());
-        (start..end).filter_map(|s| self.slots[s as usize].map(|i| (s, i))).collect()
-    }
-
     /// Snapshots the occupied slots of `[start, start + window)` into
     /// `out` (cleared first) — the readahead loop mutates the partition
     /// while it walks, so it needs a stable copy, not a borrow.
     pub fn window_into(&self, start: u64, window: u64, out: &mut Vec<(u64, GuestSlotInfo)>) {
         out.clear();
-        let end = (start + window).min(self.capacity());
-        out.extend((start..end).filter_map(|s| self.slots[s as usize].map(|i| (s, i))));
+        out.extend(
+            self.slots.window_iter(start, window).map(|(s, r)| (s, GuestSlotInfo::unpack(r))),
+        );
     }
 }
 
@@ -188,7 +136,8 @@ mod tests {
         swap.alloc(info(0)).unwrap();
         swap.alloc(info(1)).unwrap();
         swap.free(0);
-        let w = swap.window(0, 8);
+        let mut w = Vec::new();
+        swap.window_into(0, 8, &mut w);
         assert_eq!(w.len(), 1);
         assert_eq!(w[0].0, 1);
     }

@@ -6,7 +6,7 @@
 //! counter compares a reclaimed frame's label against the image label to
 //! decide whether a swap write copied unchanged data.
 
-use vswap_mem::{ContentLabel, LabelGen};
+use vswap_mem::{ChunkedTable, ContentLabel, LabelGen};
 
 /// Per-page content labels of a guest disk image.
 ///
@@ -33,8 +33,9 @@ pub struct ImageStore {
     base: u64,
     /// `label + 1` for written pages; `0` = never written (label derives
     /// from `base`). Off-by-one because a legitimately written label may
-    /// itself be `ContentLabel::ZERO`. All-zero at rest → `alloc_zeroed`.
-    written: Vec<u64>,
+    /// itself be `ContentLabel::ZERO`. Chunked, so an image costs memory
+    /// for the pages the guest has written, not for its size.
+    written: ChunkedTable<u64>,
     writes: u64,
 }
 
@@ -44,14 +45,14 @@ impl ImageStore {
     pub fn new(pages: u64, gen: &mut LabelGen) -> Self {
         ImageStore {
             base: gen.fresh_block(pages).get(),
-            written: vec![0; pages as usize],
+            written: ChunkedTable::new(pages),
             writes: 0,
         }
     }
 
     /// Size of the image in pages.
     pub fn pages(&self) -> u64 {
-        self.written.len() as u64
+        self.written.capacity()
     }
 
     /// Returns the content currently stored at `page`.
@@ -60,7 +61,7 @@ impl ImageStore {
     ///
     /// Panics if `page` is out of bounds.
     pub fn label(&self, page: u64) -> ContentLabel {
-        match self.written[page as usize] {
+        match self.written.get(page) {
             0 => ContentLabel::from_raw(self.base + page),
             raw => ContentLabel::from_raw(raw - 1),
         }
@@ -72,7 +73,7 @@ impl ImageStore {
     ///
     /// Panics if `page` is out of bounds.
     pub fn write(&mut self, page: u64, label: ContentLabel) {
-        self.written[page as usize] = label.get() + 1;
+        self.written.set(page, label.get() + 1);
         self.writes += 1;
     }
 

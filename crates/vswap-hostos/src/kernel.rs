@@ -18,8 +18,8 @@ use vswap_disk::{
 };
 use vswap_hypervisor::RetryPolicy;
 use vswap_mem::{
-    Backing, ContentLabel, Ept, FrameId, FrameOwner, Gfn, HostFrameTable, LabelGen, ListArena,
-    ListHead, VmId,
+    Backing, ChunkedTable, ContentLabel, Ept, FrameId, FrameOwner, Gfn, HostFrameTable, LabelGen,
+    ListArena, ListHead, VmId,
 };
 
 /// Configuration of one VM's memory-management state on the host.
@@ -175,11 +175,27 @@ pub enum PageResidency {
 }
 
 /// Which LRU list a frame is on.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 enum ListClass {
+    #[default]
     None,
     Anon,
     Named,
+}
+
+/// The host kernel's own per-frame state, beside the frame table's.
+#[derive(Debug, Clone, Copy, Default)]
+struct FrameMeta {
+    /// Which LRU list the frame is on.
+    list: ListClass,
+    /// Second-chance depth: a touched frame survives this many reclaim
+    /// encounters after its accessed bit is cleared, modelling Linux's
+    /// active/inactive list promotion (a referenced page must be demoted
+    /// before it can be evicted).
+    scan_chances: u8,
+    /// Loaded by swap readahead and not touched yet; an eviction while
+    /// this is still set counts as readahead waste.
+    prefetched: bool,
 }
 
 /// Per-VM host-side memory-management state.
@@ -210,8 +226,9 @@ struct VmMm {
     /// Of those, pages evicted untouched (wasted).
     ra_wasted: u64,
     /// Image blocks whose physical sectors failed permanently: the Mapper
-    /// must never (re)associate a guest page with them.
-    suspect: Vec<bool>,
+    /// must never (re)associate a guest page with them. Chunked, since
+    /// only fault injection ever sets a flag.
+    suspect: ChunkedTable<bool, 4096>,
 }
 
 /// The host kernel model. See the crate docs for an overview and an
@@ -224,16 +241,10 @@ pub struct HostKernel {
     layout: DiskLayout,
     swap_region: DiskRegion,
     swap: SwapArea,
+    /// LRU links per frame. Like `frame_meta`, it covers the frame
+    /// table's high-water mark and grows with it (see `alloc_frame`).
     arena: ListArena,
-    list_class: Vec<ListClass>,
-    /// Second-chance depth per frame: a touched frame survives this many
-    /// reclaim encounters after its accessed bit is cleared, modelling
-    /// Linux's active/inactive list promotion (a referenced page must be
-    /// demoted before it can be evicted).
-    scan_chances: Vec<u8>,
-    /// Frames loaded by swap readahead that no one has touched yet; an
-    /// eviction while this is still set counts as readahead waste.
-    prefetched: Vec<bool>,
+    frame_meta: Vec<FrameMeta>,
     vms: Vec<VmMm>,
     labels: LabelGen,
     stats: HostStats,
@@ -268,17 +279,14 @@ impl HostKernel {
         let swap_region = layout.alloc_region("host-swap", spec.swap_pages).map_err(|_| {
             HostError::DiskFull { requested: spec.swap_pages, available: spec.disk_pages }
         })?;
-        let dram_pages = spec.dram.pages();
         Ok(HostKernel {
-            frames: HostFrameTable::new(dram_pages),
+            frames: HostFrameTable::new(spec.dram.pages()),
             disk: DiskModel::with_queue_depth(spec.disk, spec.disk_queue_depth),
             layout,
             swap_region,
             swap: SwapArea::new(spec.swap_pages),
-            arena: ListArena::with_capacity(dram_pages as usize),
-            list_class: vec![ListClass::None; dram_pages as usize],
-            scan_chances: vec![0; dram_pages as usize],
-            prefetched: vec![false; dram_pages as usize],
+            arena: ListArena::with_capacity(0),
+            frame_meta: Vec::new(),
             vms: Vec::new(),
             labels: LabelGen::new(),
             stats: HostStats::new(),
@@ -351,6 +359,21 @@ impl HostKernel {
     /// or [`HostError::InsufficientDram`] if DRAM cannot hold the
     /// hypervisor code pages.
     pub fn create_vm(&mut self, cfg: VmMmConfig) -> Result<VmId, HostError> {
+        let mut t = SimTime::ZERO;
+        self.attach_vm(&mut t, &cfg, None, 0)
+    }
+
+    /// Carves a VM's disk-image and hypervisor-binary regions, registers
+    /// its host-side state with `image` (a freshly formatted one if
+    /// `None`), and pre-faults the hypervisor's hot code pages starting
+    /// at `*t` (the QEMU process is running).
+    fn attach_vm(
+        &mut self,
+        t: &mut SimTime,
+        cfg: &VmMmConfig,
+        image: Option<ImageStore>,
+        protected_below: u64,
+    ) -> Result<VmId, HostError> {
         let image_region =
             self.layout.alloc_region("guest-image", cfg.image_pages).map_err(|_| {
                 HostError::DiskFull {
@@ -366,9 +389,10 @@ impl HostKernel {
                 available: self.layout.free_pages(),
             })?;
         let vm = VmId::new(self.vms.len() as u32);
+        let image = image.unwrap_or_else(|| ImageStore::new(cfg.image_pages, &mut self.labels));
         self.vms.push(VmMm {
             ept: Ept::new(cfg.gfn_count),
-            image: ImageStore::new(cfg.image_pages, &mut self.labels),
+            image,
             image_region,
             hv_binary_region,
             origin: OriginMap::new(cfg.gfn_count, cfg.image_pages),
@@ -379,17 +403,15 @@ impl HostKernel {
             hv_code_frames: vec![None; self.spec.hypervisor_code_pages as usize],
             hv_code_cursor: 0,
             mapper_enabled: cfg.mapper_enabled,
-            protected_below: 0,
+            protected_below,
             ra_window: self.spec.swap_readahead_pages,
             ra_loaded: 0,
             ra_wasted: 0,
-            suspect: vec![false; cfg.image_pages as usize],
+            suspect: ChunkedTable::new(cfg.image_pages),
         });
-        // Pre-fault the hypervisor's hot code (the QEMU process is running).
-        let mut t = SimTime::ZERO;
         for page in 0..self.spec.hypervisor_code_pages {
             let frame = self
-                .alloc_frame(&mut t, vm, FrameOwner::HypervisorCode { vm, page })
+                .alloc_frame(t, vm, FrameOwner::HypervisorCode { vm, page })
                 .ok_or(HostError::InsufficientDram)?;
             self.vms[vm.index()].hv_code_frames[page as usize] = Some(frame);
             self.list_push(vm, frame, true);
@@ -563,7 +585,7 @@ impl HostKernel {
 
     /// Image blocks of the VM currently quarantined from Mapper use.
     pub fn suspect_blocks(&self, vm: VmId) -> u64 {
-        self.vms[vm.index()].suspect.iter().filter(|&&s| s).count() as u64
+        self.vms[vm.index()].suspect.occupied()
     }
 
     /// Disk pages still unallocated in the layout — whether this host can
@@ -708,16 +730,16 @@ impl HostKernel {
                 "flush the Preventer before exporting a VM"
             );
             self.list_remove(vm, frame);
-            self.prefetched[frame.index()] = false;
-            self.scan_chances[frame.index()] = 0;
+            self.frame_meta[frame.index()].prefetched = false;
+            self.frame_meta[frame.index()].scan_chances = 0;
             self.frames.free(frame);
             self.vms[vm.index()].charged -= 1;
         }
         // Free the VM's swap slots.
-        for slot in 0..self.swap.capacity() {
-            if self.swap.get(slot).is_some_and(|info| info.vm == vm) {
-                self.swap.free(slot);
-            }
+        let slots: Vec<u64> =
+            self.swap.iter().filter(|(_, info)| info.vm == vm).map(|(slot, _)| slot).collect();
+        for slot in slots {
+            self.swap.free(slot);
         }
         // Vacate the per-VM state: an empty address space, an empty
         // image, no associations. The slot itself stays (IDs are stable).
@@ -730,7 +752,7 @@ impl HostKernel {
         mm.mem_limit = 0;
         mm.protected_below = 0;
         mm.hv_code_frames.iter_mut().for_each(|f| *f = None);
-        mm.suspect.clear();
+        mm.suspect = ChunkedTable::new(0);
         let mut empty_gen = LabelGen::new();
         std::mem::replace(&mut mm.image, ImageStore::new(0, &mut empty_gen))
     }
@@ -759,50 +781,9 @@ impl HostKernel {
         let VmExport { cfg, image, pages, protected_below } = export;
         assert_eq!(image.pages(), cfg.image_pages, "image must match its geometry");
         assert_eq!(pages.len() as u64, cfg.gfn_count, "one wire state per gfn");
-        let image_region =
-            self.layout.alloc_region("guest-image", cfg.image_pages).map_err(|_| {
-                HostError::DiskFull {
-                    requested: cfg.image_pages,
-                    available: self.layout.free_pages(),
-                }
-            })?;
-        let hv_binary_region = self
-            .layout
-            .alloc_region("hypervisor-binary", self.spec.hypervisor_code_pages)
-            .map_err(|_| HostError::DiskFull {
-                requested: self.spec.hypervisor_code_pages,
-                available: self.layout.free_pages(),
-            })?;
-        let vm = VmId::new(self.vms.len() as u32);
-        self.vms.push(VmMm {
-            ept: Ept::new(cfg.gfn_count),
-            image,
-            image_region,
-            hv_binary_region,
-            origin: OriginMap::new(cfg.gfn_count, cfg.image_pages),
-            anon_lru: ListHead::new(),
-            named_lru: ListHead::new(),
-            mem_limit: cfg.mem_limit_pages,
-            charged: 0,
-            hv_code_frames: vec![None; self.spec.hypervisor_code_pages as usize],
-            hv_code_cursor: 0,
-            mapper_enabled: cfg.mapper_enabled,
-            protected_below,
-            ra_window: self.spec.swap_readahead_pages,
-            ra_loaded: 0,
-            ra_wasted: 0,
-            suspect: vec![false; cfg.image_pages as usize],
-        });
         let mut t = now;
         // The hypervisor process starts on the target first.
-        for page in 0..self.spec.hypervisor_code_pages {
-            let frame = self
-                .alloc_frame(&mut t, vm, FrameOwner::HypervisorCode { vm, page })
-                .ok_or(HostError::InsufficientDram)?;
-            self.vms[vm.index()].hv_code_frames[page as usize] = Some(frame);
-            self.list_push(vm, frame, true);
-            self.frames.set_accessed(frame, true);
-        }
+        let vm = self.attach_vm(&mut t, &cfg, Some(image), protected_below)?;
         // Install the guest pages from their wire state.
         for (g, &state) in pages.iter().enumerate() {
             let gfn = Gfn::new(g as u64);
@@ -917,10 +898,10 @@ impl HostKernel {
     /// dissolved — the held page degrades to anonymous, its content
     /// recovered from the logical image where needed. Idempotent.
     fn mark_block_suspect(&mut self, t: &mut SimTime, vm: VmId, page: u64) {
-        if self.vms[vm.index()].suspect[page as usize] {
+        if self.vms[vm.index()].suspect.get(page) {
             return;
         }
-        self.vms[vm.index()].suspect[page as usize] = true;
+        self.vms[vm.index()].suspect.set(page, true);
         let Some(gfn) = self.vms[vm.index()].origin.gfn_for_page(page) else {
             return;
         };
@@ -987,7 +968,7 @@ impl HostKernel {
         };
         let frame = self.vms[vm.index()].ept.translate(gfn).expect("faulted in");
         self.frames.set_accessed(frame, true);
-        self.prefetched[frame.index()] = false;
+        self.frame_meta[frame.index()].prefetched = false;
         if write {
             self.guest_write_present(&mut t, vm, gfn, frame, None);
         }
@@ -1118,7 +1099,7 @@ impl HostKernel {
             self.frames.set_label(frame, label);
             self.frames.set_dirty(frame, false);
             self.frames.set_accessed(frame, true);
-            if self.vms[vm.index()].mapper_enabled || self.vms[vm.index()].suspect[page as usize] {
+            if self.vms[vm.index()].mapper_enabled || self.vms[vm.index()].suspect.get(page) {
                 // The Mapper's *unaligned fallback* path (the request
                 // cannot be tracked) — and quarantined blocks are never
                 // tracked either.
@@ -1190,7 +1171,7 @@ impl HostKernel {
             // Unhook only after the allocation above: its reclaim
             // pressure could have discarded the block's current holder.
             self.unhook_stale_block_association(vm, gfn, page);
-            if self.vms[vm.index()].suspect[page as usize] {
+            if self.vms[vm.index()].suspect.get(page) {
                 // The block cannot be trusted to serve a refault: keep
                 // the page anonymous (degraded) instead of naming it.
                 self.vms[vm.index()].origin.dissociate_gfn(gfn);
@@ -1274,7 +1255,7 @@ impl HostKernel {
             let label = self.frames.label(frame);
             self.vms[vm.index()].image.write(page, label);
             let mapper = self.vms[vm.index()].mapper_enabled;
-            let suspect = self.vms[vm.index()].suspect[page as usize];
+            let suspect = self.vms[vm.index()].suspect.get(page);
             if (mappable || !mapper) && !suspect {
                 // Write-then-map: the source page now matches the block.
                 self.unhook_stale_block_association(vm, gfn, page);
@@ -1551,7 +1532,7 @@ impl HostKernel {
             self.vms[vm.index()].ra_loaded += 1;
             if s != slot {
                 self.stats.swap_readahead_extra += 1;
-                self.prefetched[frame.index()] = true;
+                self.frame_meta[frame.index()].prefetched = true;
             } else {
                 self.frames.set_accessed(frame, true);
             }
@@ -1615,7 +1596,7 @@ impl HostKernel {
             if bad {
                 // The block cannot serve the next refault: break the
                 // association while the content is safely in memory.
-                self.vms[vm.index()].suspect[p as usize] = true;
+                self.vms[vm.index()].suspect.set(p, true);
                 self.vms[vm.index()].origin.dissociate_gfn(g);
                 self.list_push(vm, frame, false);
                 self.stats.degraded_pages += 1;
@@ -1716,6 +1697,11 @@ impl HostKernel {
             self.reclaim_vm(t, victim_vm, want);
         }
         let frame = self.frames.alloc(owner)?;
+        if frame.index() >= self.frame_meta.len() {
+            // A frame above the high-water mark: grow the side tables.
+            self.frame_meta.resize(frame.index() + 1, FrameMeta::default());
+            self.arena.grow(frame.index() + 1);
+        }
         self.vms[vm.index()].charged += 1;
         Some(frame)
     }
@@ -1807,10 +1793,10 @@ impl HostKernel {
                     // Referenced (or hinted vital): demote to "recently
                     // active" and requeue.
                     self.frames.set_accessed(frame, false);
-                    self.scan_chances[idx] = 1;
+                    self.frame_meta[idx].scan_chances = 1;
                     self.arena.move_to_back(head, idx);
-                } else if self.scan_chances[idx] > 0 {
-                    self.scan_chances[idx] -= 1;
+                } else if self.frame_meta[idx].scan_chances > 0 {
+                    self.frame_meta[idx].scan_chances -= 1;
                     self.arena.move_to_back(head, idx);
                 } else {
                     return Some(frame);
@@ -1825,8 +1811,8 @@ impl HostKernel {
     /// (always written — no dirty bit for guest pages); hypervisor code
     /// and page-cache frames are dropped.
     fn evict_frame(&mut self, t: &mut SimTime, vm: VmId, frame: FrameId) {
-        if self.prefetched[frame.index()] {
-            self.prefetched[frame.index()] = false;
+        if self.frame_meta[frame.index()].prefetched {
+            self.frame_meta[frame.index()].prefetched = false;
             self.vms[vm.index()].ra_wasted += 1;
         }
         match self.frames.owner(frame) {
@@ -1836,8 +1822,7 @@ impl HostKernel {
                 let mapper = self.vms[vm.index()].mapper_enabled;
                 // A discard is only safe onto a block the disk can still
                 // serve: never discard onto a quarantined block.
-                let discardable =
-                    origin_page.is_some_and(|p| !self.vms[vm.index()].suspect[p as usize]);
+                let discardable = origin_page.is_some_and(|p| !self.vms[vm.index()].suspect.get(p));
                 if let (true, Some(page), false, true) =
                     (mapper, origin_page, self.frames.dirty(frame), discardable)
                 {
@@ -1948,15 +1933,16 @@ impl HostKernel {
     // ------------------------------------------------------------------
 
     fn list_push(&mut self, vm: VmId, frame: FrameId, named: bool) {
-        debug_assert_eq!(self.list_class[frame.index()], ListClass::None);
+        debug_assert_eq!(self.frame_meta[frame.index()].list, ListClass::None);
         let mm = &mut self.vms[vm.index()];
         let head = if named { &mut mm.named_lru } else { &mut mm.anon_lru };
         self.arena.push_back(head, frame.index());
-        self.list_class[frame.index()] = if named { ListClass::Named } else { ListClass::Anon };
+        self.frame_meta[frame.index()].list =
+            if named { ListClass::Named } else { ListClass::Anon };
     }
 
     fn list_remove(&mut self, vm: VmId, frame: FrameId) {
-        match self.list_class[frame.index()] {
+        match self.frame_meta[frame.index()].list {
             ListClass::None => {}
             ListClass::Anon => self.list_remove_class(vm, frame, false),
             ListClass::Named => self.list_remove_class(vm, frame, true),
@@ -1967,14 +1953,14 @@ impl HostKernel {
         let mm = &mut self.vms[vm.index()];
         let head = if named { &mut mm.named_lru } else { &mut mm.anon_lru };
         self.arena.remove(head, frame.index());
-        self.list_class[frame.index()] = ListClass::None;
+        self.frame_meta[frame.index()].list = ListClass::None;
     }
 
     /// Moves a frame to the (back of the) requested list if it is not
     /// already classified there.
     fn list_move(&mut self, vm: VmId, frame: FrameId, named: bool) {
         let want = if named { ListClass::Named } else { ListClass::Anon };
-        if self.list_class[frame.index()] == want {
+        if self.frame_meta[frame.index()].list == want {
             return;
         }
         self.list_remove(vm, frame);
@@ -1993,6 +1979,7 @@ impl HostKernel {
     /// Returns a human-readable description of the violated invariant.
     pub fn audit(&self) -> Result<(), String> {
         let mut charged = vec![0u64; self.vms.len()];
+        let mut listed_frames = vec![0usize; self.vms.len()];
         for (frame, owner) in self.frames.iter_allocated() {
             let (vm, expect_listed) = match owner {
                 FrameOwner::Guest { vm, gfn } => {
@@ -2013,7 +2000,8 @@ impl HostKernel {
                 FrameOwner::Free => unreachable!("iter_allocated skips free frames"),
             };
             charged[vm.index()] += 1;
-            let listed = self.list_class[frame.index()] != ListClass::None;
+            listed_frames[vm.index()] += usize::from(expect_listed);
+            let listed = self.frame_meta[frame.index()].list != ListClass::None;
             if listed != expect_listed {
                 return Err(format!("{frame} listed={listed}, expected {expect_listed}"));
             }
@@ -2026,27 +2014,20 @@ impl HostKernel {
                 ));
             }
             let listed = mm.anon_lru.len() + mm.named_lru.len();
-            let expect = charged[i] as usize
-                - self
-                    .frames
-                    .iter_allocated()
-                    .filter(
-                        |(_, o)| matches!(o, FrameOwner::WriteBuffer { vm, .. } if vm.index() == i),
-                    )
-                    .count();
-            if listed != expect {
-                return Err(format!("vm{i} lru size {listed} != listed frames {expect}"));
+            if listed != listed_frames[i] {
+                return Err(format!(
+                    "vm{i} lru size {listed} != listed frames {}",
+                    listed_frames[i]
+                ));
             }
         }
-        for slot in 0..self.swap.capacity() {
-            if let Some(info) = self.swap.get(slot) {
-                let backing = self.vms[info.vm.index()].ept.backing(info.gfn);
-                if backing != Some(Backing::SwapSlot(slot)) {
-                    return Err(format!(
-                        "slot {slot} holds {}/{} but backing is {backing:?}",
-                        info.vm, info.gfn
-                    ));
-                }
+        for (slot, info) in self.swap.iter() {
+            let backing = self.vms[info.vm.index()].ept.backing(info.gfn);
+            if backing != Some(Backing::SwapSlot(slot)) {
+                return Err(format!(
+                    "slot {slot} holds {}/{} but backing is {backing:?}",
+                    info.vm, info.gfn
+                ));
             }
         }
         // Discarded named pages must still own their block association.
@@ -2067,13 +2048,9 @@ impl HostKernel {
         // association — that would be a stale mapping onto storage a
         // refault cannot read.
         for (vmi, mm) in self.vms.iter().enumerate() {
-            for (p, &bad) in mm.suspect.iter().enumerate() {
-                if bad {
-                    if let Some(gfn) = mm.origin.gfn_for_page(p as u64) {
-                        return Err(format!(
-                            "vm{vmi} suspect block {p} still associated with {gfn}"
-                        ));
-                    }
+            for (p, _) in mm.suspect.iter() {
+                if let Some(gfn) = mm.origin.gfn_for_page(p) {
+                    return Err(format!("vm{vmi} suspect block {p} still associated with {gfn}"));
                 }
             }
         }

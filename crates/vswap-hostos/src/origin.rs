@@ -15,10 +15,12 @@
 //! (COW break) or the underlying image block is overwritten, the
 //! association is dissolved.
 //!
-//! Both directions are dense arrays — gfn-indexed and image-page-indexed —
-//! so lookups on the fault path are single array reads with no hashing.
+//! The gfn direction is a dense array over guest memory; the image-page
+//! direction is a [`ChunkedTable`] over the disk image, which is far
+//! larger than the part a guest ever caches. Lookups on the fault path
+//! are one or two array reads with no hashing.
 
-use vswap_mem::Gfn;
+use vswap_mem::{ChunkedTable, Gfn};
 
 /// Bidirectional map between guest frame numbers and image pages.
 ///
@@ -38,11 +40,11 @@ use vswap_mem::Gfn;
 #[derive(Debug, Clone)]
 pub struct OriginMap {
     /// `image_page + 1` per gfn; `0` = no association. The off-by-one
-    /// sentinel keeps the empty map all-zero bytes so construction over a
-    /// multi-gigabyte image is `alloc_zeroed`, not an eager fill.
+    /// sentinel keeps the empty map all-zero bytes.
     by_gfn: Vec<u64>,
-    /// `gfn + 1` per image page; `0` = no association.
-    by_page: Vec<u64>,
+    /// `gfn + 1` per image page; `0` = no association. Chunks of 4096
+    /// entries (32 KiB) keep the directory short for this hot lookup.
+    by_page: ChunkedTable<u64, 4096>,
     live: usize,
 }
 
@@ -52,7 +54,7 @@ impl OriginMap {
     pub fn new(gfn_count: u64, image_pages: u64) -> Self {
         OriginMap {
             by_gfn: vec![0; gfn_count as usize],
-            by_page: vec![0; image_pages as usize],
+            by_page: ChunkedTable::new(image_pages),
             live: 0,
         }
     }
@@ -64,7 +66,7 @@ impl OriginMap {
         self.dissociate_gfn(gfn);
         self.dissociate_page(image_page);
         self.by_gfn[gfn.index()] = image_page + 1;
-        self.by_page[image_page as usize] = gfn.get() + 1;
+        self.by_page.set(image_page, gfn.get() + 1);
         self.live += 1;
     }
 
@@ -73,7 +75,7 @@ impl OriginMap {
     pub fn dissociate_gfn(&mut self, gfn: Gfn) -> Option<u64> {
         let page = self.by_gfn[gfn.index()].checked_sub(1)?;
         self.by_gfn[gfn.index()] = 0;
-        self.by_page[page as usize] = 0;
+        self.by_page.take(page);
         self.live -= 1;
         Some(page)
     }
@@ -81,8 +83,7 @@ impl OriginMap {
     /// Removes the association of `image_page`, if any. Returns the guest
     /// frame it was associated with.
     pub fn dissociate_page(&mut self, image_page: u64) -> Option<Gfn> {
-        let gfn = self.by_page[image_page as usize].checked_sub(1)?;
-        self.by_page[image_page as usize] = 0;
+        let gfn = self.by_page.take(image_page).checked_sub(1)?;
         self.by_gfn[gfn as usize] = 0;
         self.live -= 1;
         Some(Gfn::new(gfn))
@@ -95,7 +96,7 @@ impl OriginMap {
 
     /// The guest frame associated with `image_page`, if any.
     pub fn gfn_for_page(&self, image_page: u64) -> Option<Gfn> {
-        self.by_page[image_page as usize].checked_sub(1).map(Gfn::new)
+        self.by_page.get(image_page).checked_sub(1).map(Gfn::new)
     }
 
     /// Number of live associations (the Mapper's tracked-page count,

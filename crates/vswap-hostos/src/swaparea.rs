@@ -1,20 +1,16 @@
 //! The host swap area: slot allocation and slot contents.
 //!
-//! Models Linux's swap-slot allocator closely enough to reproduce *decayed
-//! swap sequentiality*: slots are handed out by scanning forward from a
-//! cursor (so a fresh swap area fills sequentially in reclaim order), and
-//! freed slots leave holes that later allocations plug out of order — which
-//! is precisely how file-sequential content gets scattered over time.
-//!
-//! Free slots are tracked in a bitmap (one `u64` word per 64 slots) scanned
-//! with `trailing_zeros`, plus a low-water hint word so the wrap-around
-//! scan is amortized O(1). Allocation order is identical to the earlier
-//! ordered-set implementation: first free slot at or after the cursor,
-//! else the lowest free slot overall.
+//! Slot allocation is the cursor-scan [`SlotTable`] shared with the guest
+//! swap partition (see `vswap_mem::slots` for how it reproduces *decayed
+//! swap sequentiality*). The host adds retirement of physically bad slots
+//! and a high-water mark. Slot contents are one packed 16-byte
+//! [`SlotRecord`] per occupied slot in lazily allocated chunks, so a
+//! multi-gigabyte swap area costs memory in proportion to the slots in
+//! use, however far the allocation cursor has swept.
 
 use sim_core::DeterministicRng;
 use std::collections::BTreeSet;
-use vswap_mem::{ContentLabel, Gfn, VmId};
+use vswap_mem::{ContentLabel, Gfn, SlotRecord, SlotTable, VmId};
 
 /// What one occupied swap slot holds.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -27,43 +23,16 @@ pub struct SlotInfo {
     pub label: ContentLabel,
 }
 
-/// Iterates the free slots of `[..end)` in ascending order starting from a
-/// pre-masked word, word-accelerated via `trailing_zeros`.
-struct FreeRange<'a> {
-    bits: &'a [u64],
-    word: usize,
-    /// Unconsumed free bits of `bits[word]`.
-    mask: u64,
-    end: u64,
-}
-
-impl<'a> FreeRange<'a> {
-    /// Free slots in `[start, end)`, ascending.
-    fn new(bits: &'a [u64], start: u64, end: u64) -> Self {
-        let word = (start / 64) as usize;
-        let mask = if word < bits.len() { bits[word] & !((1u64 << (start % 64)) - 1) } else { 0 };
-        FreeRange { bits, word, mask, end }
+impl SlotInfo {
+    fn pack(self) -> SlotRecord {
+        SlotRecord::new(self.vm.get(), self.gfn.get(), self.label)
     }
-}
 
-impl Iterator for FreeRange<'_> {
-    type Item = u64;
-
-    fn next(&mut self) -> Option<u64> {
-        loop {
-            if self.mask != 0 {
-                let slot = (self.word as u64) * 64 + self.mask.trailing_zeros() as u64;
-                if slot >= self.end {
-                    return None;
-                }
-                self.mask &= self.mask - 1;
-                return Some(slot);
-            }
-            self.word += 1;
-            if (self.word as u64) * 64 >= self.end || self.word >= self.bits.len() {
-                return None;
-            }
-            self.mask = self.bits[self.word];
+    fn unpack(record: SlotRecord) -> Self {
+        SlotInfo {
+            vm: VmId::new(record.owner()),
+            gfn: Gfn::new(record.page()),
+            label: record.label(),
         }
     }
 }
@@ -85,22 +54,7 @@ impl Iterator for FreeRange<'_> {
 /// ```
 #[derive(Debug, Clone)]
 pub struct SwapArea {
-    capacity: u64,
-    /// `vm + 1` per occupied slot; `0` = free (or retired). Kept as
-    /// structure-of-arrays with the zero word meaning "empty" so a fresh
-    /// multi-gigabyte swap area is `alloc_zeroed`, not an eager fill.
-    slot_vm: Vec<u32>,
-    /// Guest frame number per occupied slot (valid only when occupied).
-    slot_gfn: Vec<u64>,
-    /// Raw content label per occupied slot (valid only when occupied).
-    slot_label: Vec<u64>,
-    /// Bit set = slot free. Word `w` covers slots `64*w .. 64*w+64`.
-    free_bits: Vec<u64>,
-    free_count: u64,
-    cursor: u64,
-    /// Invariant: no word below `low_hint` has a free bit — the
-    /// wrap-around scan starts here instead of at slot 0.
-    low_hint: usize,
+    slots: SlotTable,
     high_water: u64,
     /// Slots retired after a permanent media error; never allocated again.
     bad: BTreeSet<u64>,
@@ -109,60 +63,17 @@ pub struct SwapArea {
 impl SwapArea {
     /// Creates an empty swap area of `capacity` slots.
     pub fn new(capacity: u64) -> Self {
-        let words = (capacity as usize).div_ceil(64);
-        let mut free_bits = vec![u64::MAX; words];
-        let tail = (capacity % 64) as u32;
-        if tail != 0 {
-            if let Some(last) = free_bits.last_mut() {
-                *last = (1u64 << tail) - 1;
-            }
-        }
-        SwapArea {
-            capacity,
-            slot_vm: vec![0; capacity as usize],
-            slot_gfn: vec![0; capacity as usize],
-            slot_label: vec![0; capacity as usize],
-            free_bits,
-            free_count: capacity,
-            cursor: 0,
-            low_hint: 0,
-            high_water: 0,
-            bad: BTreeSet::new(),
-        }
+        SwapArea { slots: SlotTable::new(capacity), high_water: 0, bad: BTreeSet::new() }
     }
 
     /// Total slots.
     pub fn capacity(&self) -> u64 {
-        self.capacity
+        self.slots.capacity()
     }
 
     /// Occupied slots (retired bad slots are neither free nor used).
     pub fn used(&self) -> u64 {
-        self.capacity() - self.free_count - self.bad.len() as u64
-    }
-
-    fn is_free(&self, slot: u64) -> bool {
-        self.free_bits[(slot / 64) as usize] >> (slot % 64) & 1 == 1
-    }
-
-    fn clear_free(&mut self, slot: u64) {
-        self.free_bits[(slot / 64) as usize] &= !(1u64 << (slot % 64));
-        self.free_count -= 1;
-    }
-
-    /// First free slot in `[start, capacity)`, if any.
-    fn next_free_from(&self, start: u64) -> Option<u64> {
-        FreeRange::new(&self.free_bits, start, self.capacity()).next()
-    }
-
-    /// Free slots starting at the cursor and wrapping around, ascending in
-    /// each half — the order slot allocation considers candidates in.
-    fn free_from_cursor(&self) -> impl Iterator<Item = u64> + '_ {
-        FreeRange::new(&self.free_bits, self.cursor, self.capacity()).chain(FreeRange::new(
-            &self.free_bits,
-            (self.low_hint as u64) * 64,
-            self.cursor,
-        ))
+        self.slots.taken() - self.bad.len() as u64
     }
 
     /// Retires a physically bad slot: its contents (if any) are dropped
@@ -172,10 +83,7 @@ impl SwapArea {
     ///
     /// Panics if `slot` is out of bounds.
     pub fn mark_bad(&mut self, slot: u64) {
-        self.slot_vm[slot as usize] = 0;
-        if self.is_free(slot) {
-            self.clear_free(slot);
-        }
+        self.slots.withdraw(slot);
         self.bad.insert(slot);
     }
 
@@ -198,18 +106,8 @@ impl SwapArea {
     /// cursor (wrapping), like Linux's `scan_swap_map`. Returns `None`
     /// if the area is full.
     pub fn alloc(&mut self, info: SlotInfo) -> Option<u64> {
-        let slot = match self.next_free_from(self.cursor) {
-            Some(s) => s,
-            None => {
-                // Wrap: the lowest free slot overall. Nothing below
-                // `low_hint` is free, so start the scan there and pull the
-                // hint forward to the word we land in.
-                let s = self.next_free_from((self.low_hint as u64) * 64)?;
-                self.low_hint = (s / 64) as usize;
-                s
-            }
-        };
-        self.take_slot(slot, info);
+        let slot = self.slots.alloc(info.pack())?;
+        self.high_water = self.high_water.max(self.used());
         Some(slot)
     }
 
@@ -225,28 +123,9 @@ impl SwapArea {
         rng: &mut DeterministicRng,
         jitter: u64,
     ) -> Option<u64> {
-        if jitter <= 1 {
-            return self.alloc(info);
-        }
-        // Two passes over the candidate window keep this allocation-free:
-        // count the candidates, draw the index, then re-scan to the pick.
-        let count = self.free_from_cursor().take(jitter as usize).count();
-        if count == 0 {
-            return None;
-        }
-        let pick = rng.index(count);
-        let slot = self.free_from_cursor().nth(pick).expect("candidate counted above");
-        self.take_slot(slot, info);
-        Some(slot)
-    }
-
-    fn take_slot(&mut self, slot: u64, info: SlotInfo) {
-        self.clear_free(slot);
-        self.cursor = slot + 1;
-        self.slot_vm[slot as usize] = info.vm.get() + 1;
-        self.slot_gfn[slot as usize] = info.gfn.get();
-        self.slot_label[slot as usize] = info.label.get();
+        let slot = self.slots.alloc_scattered(info.pack(), rng, jitter)?;
         self.high_water = self.high_water.max(self.used());
+        Some(slot)
     }
 
     /// Frees a slot.
@@ -255,11 +134,7 @@ impl SwapArea {
     ///
     /// Panics if the slot is already free or out of bounds.
     pub fn free(&mut self, slot: u64) {
-        assert!(self.slot_vm[slot as usize] != 0, "freeing an already-free swap slot {slot}");
-        self.slot_vm[slot as usize] = 0;
-        self.free_bits[(slot / 64) as usize] |= 1u64 << (slot % 64);
-        self.free_count += 1;
-        self.low_hint = self.low_hint.min((slot / 64) as usize);
+        self.slots.free(slot);
     }
 
     /// Returns the contents of a slot, or `None` if free.
@@ -268,12 +143,7 @@ impl SwapArea {
     ///
     /// Panics if `slot` is out of bounds.
     pub fn get(&self, slot: u64) -> Option<SlotInfo> {
-        let vm = self.slot_vm[slot as usize].checked_sub(1)?;
-        Some(SlotInfo {
-            vm: VmId::new(vm),
-            gfn: Gfn::new(self.slot_gfn[slot as usize]),
-            label: ContentLabel::from_raw(self.slot_label[slot as usize]),
-        })
+        self.slots.get(slot).map(SlotInfo::unpack)
     }
 
     /// Iterates the occupied slots in the readahead window
@@ -285,8 +155,13 @@ impl SwapArea {
         start: u64,
         window: u64,
     ) -> impl Iterator<Item = (u64, SlotInfo)> + '_ {
-        let end = (start + window).min(self.capacity());
-        (start..end).filter_map(|s| self.get(s).map(|info| (s, info)))
+        self.slots.window_iter(start, window).map(|(s, r)| (s, SlotInfo::unpack(r)))
+    }
+
+    /// Iterates every occupied slot in slot order, visiting only the
+    /// parts of the area in use.
+    pub fn iter(&self) -> impl Iterator<Item = (u64, SlotInfo)> + '_ {
+        self.slots.iter().map(|(s, r)| (s, SlotInfo::unpack(r)))
     }
 }
 
@@ -400,6 +275,39 @@ mod tests {
             assert_ne!(next, s, "a bad slot must never be handed out again");
         }
         assert_eq!(swap.alloc(info(9)), None, "capacity shrinks by the retired slot");
+    }
+
+    #[test]
+    fn chunked_slots_keep_allocation_order_windows_and_bad_slots() {
+        // 1100 slots span three 512-slot record chunks.
+        let mut swap = SwapArea::new(2048);
+        for g in 0..1100 {
+            assert_eq!(swap.alloc(info(g)), Some(g));
+        }
+        for s in (0..1100).step_by(3) {
+            swap.free(s);
+        }
+        // The cursor keeps sweeping forward past the holes.
+        assert_eq!(swap.alloc(info(5000)), Some(1100));
+        // A readahead window across the chunk boundary at 512 sees only
+        // the occupied slots.
+        let window: Vec<u64> = swap.window_iter(509, 6).map(|(s, _)| s).collect();
+        assert_eq!(window, vec![509, 511, 512, 514]);
+        // Retiring an occupied slot drops its contents and nothing else.
+        let used = swap.used();
+        swap.mark_bad(511);
+        assert_eq!(swap.get(511), None);
+        assert_eq!(swap.used(), used - 1);
+        assert_eq!(swap.get(512).map(|i| i.gfn), Some(Gfn::new(512)));
+        let window: Vec<u64> = swap.window_iter(509, 6).map(|(s, _)| s).collect();
+        assert_eq!(window, vec![509, 512, 514]);
+        // Once the tail fills, the wrap plugs the lowest holes first.
+        for g in 1101..2048 {
+            assert_eq!(swap.alloc(info(g)), Some(g));
+        }
+        assert_eq!(swap.alloc(info(7000)), Some(0));
+        assert_eq!(swap.alloc(info(7001)), Some(3));
+        assert_eq!(swap.iter().count() as u64, swap.used());
     }
 
     #[test]

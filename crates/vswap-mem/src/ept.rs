@@ -37,6 +37,37 @@ pub enum EptEntry {
     },
 }
 
+// Packed entry encoding: the low two bits are the kind, the rest the
+// frame, slot or image page. `0` is "not present, never materialized", so
+// a new table is all-zero bytes and `Ept::new` is one zeroed allocation.
+const TAG_NONE: u64 = 0;
+const TAG_PRESENT: u64 = 1;
+const TAG_SWAP_SLOT: u64 = 2;
+const TAG_IMAGE_PAGE: u64 = 3;
+const TAG_BITS: u64 = 0x3;
+const VALUE_SHIFT: u32 = 2;
+
+fn pack(entry: EptEntry) -> u64 {
+    let (tag, value) = match entry {
+        EptEntry::Present { frame } => (TAG_PRESENT, u64::from(frame.get())),
+        EptEntry::NotPresent { backing: Backing::None } => return TAG_NONE,
+        EptEntry::NotPresent { backing: Backing::SwapSlot(slot) } => (TAG_SWAP_SLOT, slot),
+        EptEntry::NotPresent { backing: Backing::ImagePage(page) } => (TAG_IMAGE_PAGE, page),
+    };
+    assert!(value < 1 << (64 - VALUE_SHIFT), "EPT value out of packed range");
+    tag | (value << VALUE_SHIFT)
+}
+
+fn unpack(bits: u64) -> EptEntry {
+    let value = bits >> VALUE_SHIFT;
+    match bits & TAG_BITS {
+        TAG_PRESENT => EptEntry::Present { frame: FrameId::new(value as u32) },
+        TAG_SWAP_SLOT => EptEntry::NotPresent { backing: Backing::SwapSlot(value) },
+        TAG_IMAGE_PAGE => EptEntry::NotPresent { backing: Backing::ImagePage(value) },
+        _ => EptEntry::NotPresent { backing: Backing::None },
+    }
+}
+
 /// A VM's guest-physical address space mapping.
 ///
 /// # Examples
@@ -55,7 +86,8 @@ pub enum EptEntry {
 /// ```
 #[derive(Debug, Clone)]
 pub struct Ept {
-    entries: Vec<EptEntry>,
+    /// One packed [`EptEntry`] per gfn.
+    entries: Vec<u64>,
     resident: u64,
 }
 
@@ -63,10 +95,7 @@ impl Ept {
     /// Creates a table for a guest-physical space of `gfn_count` pages,
     /// all initially non-present with no backing.
     pub fn new(gfn_count: u64) -> Self {
-        Ept {
-            entries: vec![EptEntry::NotPresent { backing: Backing::None }; gfn_count as usize],
-            resident: 0,
-        }
+        Ept { entries: vec![TAG_NONE; gfn_count as usize], resident: 0 }
     }
 
     /// Size of the guest-physical space in pages.
@@ -85,12 +114,12 @@ impl Ept {
     ///
     /// Panics if `gfn` is out of range.
     pub fn entry(&self, gfn: Gfn) -> EptEntry {
-        self.entries[gfn.index()]
+        unpack(self.entries[gfn.index()])
     }
 
     /// Returns the backing frame if the page is present.
     pub fn translate(&self, gfn: Gfn) -> Option<FrameId> {
-        match self.entries[gfn.index()] {
+        match self.entry(gfn) {
             EptEntry::Present { frame } => Some(frame),
             EptEntry::NotPresent { .. } => None,
         }
@@ -98,7 +127,7 @@ impl Ept {
 
     /// Returns the backing location if the page is *not* present.
     pub fn backing(&self, gfn: Gfn) -> Option<Backing> {
-        match self.entries[gfn.index()] {
+        match self.entry(gfn) {
             EptEntry::Present { .. } => None,
             EptEntry::NotPresent { backing } => Some(backing),
         }
@@ -110,12 +139,8 @@ impl Ept {
     ///
     /// Panics if the page is already present (unmap first).
     pub fn map(&mut self, gfn: Gfn, frame: FrameId) {
-        let entry = &mut self.entries[gfn.index()];
-        assert!(
-            matches!(entry, EptEntry::NotPresent { .. }),
-            "mapping an already-present gfn {gfn}"
-        );
-        *entry = EptEntry::Present { frame };
+        assert!(self.translate(gfn).is_none(), "mapping an already-present gfn {gfn}");
+        self.entries[gfn.index()] = pack(EptEntry::Present { frame });
         self.resident += 1;
     }
 
@@ -126,15 +151,11 @@ impl Ept {
     ///
     /// Panics if the page is not present.
     pub fn unmap(&mut self, gfn: Gfn, backing: Backing) -> FrameId {
-        let entry = &mut self.entries[gfn.index()];
-        match *entry {
-            EptEntry::Present { frame } => {
-                *entry = EptEntry::NotPresent { backing };
-                self.resident -= 1;
-                frame
-            }
-            EptEntry::NotPresent { .. } => panic!("unmapping a non-present gfn {gfn}"),
-        }
+        let frame =
+            self.translate(gfn).unwrap_or_else(|| panic!("unmapping a non-present gfn {gfn}"));
+        self.entries[gfn.index()] = pack(EptEntry::NotPresent { backing });
+        self.resident -= 1;
+        frame
     }
 
     /// Rewrites the backing of a non-present page (e.g. the Mapper
@@ -145,18 +166,14 @@ impl Ept {
     ///
     /// Panics if the page is present.
     pub fn set_backing(&mut self, gfn: Gfn, backing: Backing) {
-        let entry = &mut self.entries[gfn.index()];
-        assert!(
-            matches!(entry, EptEntry::NotPresent { .. }),
-            "cannot set backing of present gfn {gfn}"
-        );
-        *entry = EptEntry::NotPresent { backing };
+        assert!(self.translate(gfn).is_none(), "cannot set backing of present gfn {gfn}");
+        self.entries[gfn.index()] = pack(EptEntry::NotPresent { backing });
     }
 
     /// Iterates over present pages as `(gfn, frame)`.
     pub fn iter_present(&self) -> impl Iterator<Item = (Gfn, FrameId)> + '_ {
-        self.entries.iter().enumerate().filter_map(|(i, e)| match e {
-            EptEntry::Present { frame } => Some((Gfn::new(i as u64), *frame)),
+        self.entries.iter().enumerate().filter_map(|(i, &bits)| match unpack(bits) {
+            EptEntry::Present { frame } => Some((Gfn::new(i as u64), frame)),
             EptEntry::NotPresent { .. } => None,
         })
     }

@@ -92,8 +92,8 @@ impl FrameOwner {
     }
 }
 
-// Packed owner encoding: `0` is `Free`, so a freshly zeroed table is a
-// table of free frames and `HostFrameTable::new` never touches its pages.
+// Packed owner encoding: `0` is `Free`, so freeing a frame and growing
+// the table both store zeros.
 // Bits 0..3 hold the owner kind, bits 3..32 the VM id, bits 32..64 the
 // owner-specific page number (gfn / image page / code page).
 const KIND_GUEST: u64 = 1;
@@ -133,13 +133,17 @@ fn unpack_owner(bits: u64) -> FrameOwner {
     }
 }
 
-/// Host DRAM: a fixed-size table of frames with a bitmap free-frame
-/// allocator.
+/// Host DRAM: a table of frames with a bitmap free-frame allocator.
 ///
 /// One `u64` word tracks 64 frames (bit set = free). Allocation scans
 /// words with `trailing_zeros`, starting from a search hint that is
 /// kept at or below the lowest word holding a free bit, so the scan is
 /// amortized O(1) and frames are always handed out lowest-index-first.
+///
+/// Because allocation is lowest-first, the frames ever handed out are
+/// exactly `0..high_water`. Every per-frame array covers that prefix
+/// only and grows by one frame when all of it is in use, so a host with
+/// 16 GiB of DRAM whose guests use 1 GiB pays for 1 GiB of metadata.
 ///
 /// # Examples
 ///
@@ -156,10 +160,7 @@ fn unpack_owner(bits: u64) -> FrameOwner {
 #[derive(Debug, Clone)]
 pub struct HostFrameTable {
     total: u64,
-    /// Packed owner per frame; `0` = free. Structure-of-arrays so the
-    /// empty table is all-zero bytes and construction is `alloc_zeroed`
-    /// (lazily mapped), not an eager fill over hundreds of MiB of DRAM
-    /// metadata per host.
+    /// Packed owner per frame below the high-water mark; `0` = free.
     owners: Vec<u64>,
     /// Accessed (referenced) bit per frame, one bit per frame.
     accessed_bits: Vec<u64>,
@@ -167,9 +168,9 @@ pub struct HostFrameTable {
     dirty_bits: Vec<u64>,
     /// Raw content label per frame (`ContentLabel::ZERO` is 0).
     labels: Vec<u64>,
-    /// Bit set = frame free. Word `w` covers frames `64*w .. 64*w+64`.
-    /// Stored inverted-on-construction relative to the zero page (a fresh
-    /// table is all-free), but at one bit per frame the fill is tiny.
+    /// Bit set = frame free, for frames below the high-water mark; frames
+    /// at or above it are free implicitly. Word `w` covers frames
+    /// `64*w .. 64*w+64`.
     free_bits: Vec<u64>,
     free_count: u64,
     /// Invariant: no word below `hint` has a free bit.
@@ -177,24 +178,15 @@ pub struct HostFrameTable {
 }
 
 impl HostFrameTable {
-    /// Creates a table of `total` free frames.
+    /// Creates a table of `total` free frames. Allocates nothing.
     pub fn new(total: u64) -> Self {
-        let words = (total as usize).div_ceil(64);
-        let mut free_bits = vec![u64::MAX; words];
-        // Clear the tail bits past `total` in the last word.
-        let tail = (total % 64) as u32;
-        if tail != 0 {
-            if let Some(last) = free_bits.last_mut() {
-                *last = (1u64 << tail) - 1;
-            }
-        }
         HostFrameTable {
             total,
-            owners: vec![0; total as usize],
-            accessed_bits: vec![0; words],
-            dirty_bits: vec![0; words],
-            labels: vec![0; total as usize],
-            free_bits,
+            owners: Vec::new(),
+            accessed_bits: Vec::new(),
+            dirty_bits: Vec::new(),
+            labels: Vec::new(),
+            free_bits: Vec::new(),
             free_count: total,
             hint: 0,
         }
@@ -219,19 +211,33 @@ impl HostFrameTable {
             return None;
         }
         let mut w = self.hint;
-        while self.free_bits[w] == 0 {
+        while w < self.free_bits.len() && self.free_bits[w] == 0 {
             w += 1;
         }
         self.hint = w;
-        let bit = self.free_bits[w].trailing_zeros();
-        self.free_bits[w] &= !(1u64 << bit);
+        let id = if w < self.free_bits.len() {
+            let bit = self.free_bits[w].trailing_zeros();
+            self.free_bits[w] &= !(1u64 << bit);
+            self.accessed_bits[w] &= !(1u64 << bit);
+            self.dirty_bits[w] &= !(1u64 << bit);
+            w * 64 + bit as usize
+        } else {
+            // Every frame below the high-water mark is in use: the lowest
+            // free frame is the next one up.
+            let id = self.owners.len();
+            self.owners.push(0);
+            self.labels.push(0);
+            if id % 64 == 0 {
+                self.accessed_bits.push(0);
+                self.dirty_bits.push(0);
+                self.free_bits.push(0);
+            }
+            id
+        };
         self.free_count -= 1;
-        let id = (w as u32) * 64 + bit;
-        self.owners[id as usize] = pack_owner(owner);
-        self.accessed_bits[w] &= !(1u64 << bit);
-        self.dirty_bits[w] &= !(1u64 << bit);
-        self.labels[id as usize] = 0;
-        Some(FrameId(id))
+        self.owners[id] = pack_owner(owner);
+        self.labels[id] = 0;
+        Some(FrameId(id as u32))
     }
 
     /// Releases a frame back to the free bitmap.
@@ -395,6 +401,18 @@ mod tests {
         assert_eq!(t.alloc(guest_owner(201)).unwrap().get(), 70);
         assert_eq!(t.alloc(guest_owner(202)).unwrap().get(), 129);
         assert_eq!(t.free_frames(), 0);
+    }
+
+    #[test]
+    fn per_frame_arrays_track_the_high_water_mark() {
+        let mut t = HostFrameTable::new(1 << 30);
+        let frames: Vec<FrameId> = (0..70).map(|g| t.alloc(guest_owner(g)).unwrap()).collect();
+        assert_eq!(t.owners.len(), 70);
+        t.free(frames[3]);
+        assert_eq!(t.alloc(guest_owner(99)).unwrap().get(), 3);
+        assert_eq!(t.owners.len(), 70, "a recycled frame does not grow the table");
+        assert_eq!(t.alloc(guest_owner(100)).unwrap().get(), 70);
+        assert_eq!(t.free_frames(), (1 << 30) - 71);
     }
 
     #[test]

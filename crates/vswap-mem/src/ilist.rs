@@ -36,9 +36,8 @@ pub struct IndexList {
 /// Dense link storage. The neighbours of element `i` are packed into one
 /// `u64` word — `prev + 1` in the low half, `next + 1` in the high half,
 /// with `0` meaning "none" — and list membership lives in a separate
-/// bitmap. The idle state of every element is therefore all-zero bytes,
-/// so construction over millions of frames is a single `alloc_zeroed`
-/// (lazily mapped) instead of an eager fill.
+/// bitmap. The idle state of every element is all-zero bytes, so growing
+/// the table (see [`ListArena::grow`]) is a zero fill of the new tail.
 #[derive(Debug, Clone)]
 struct LinkTable {
     words: Vec<u64>,
@@ -309,6 +308,14 @@ impl ListArena {
     /// Capacity (one more than the largest admissible index).
     pub fn capacity(&self) -> usize {
         self.links.capacity()
+    }
+
+    /// Grows the capacity to hold indices `0..new_capacity` (no-op if
+    /// already large enough). Owners of a growing index space — the host
+    /// frame table — grow the arena with it instead of sizing it for the
+    /// whole space up front.
+    pub fn grow(&mut self, new_capacity: usize) {
+        self.links.grow(new_capacity);
     }
 
     /// True if `index` is on *some* list in this arena.

@@ -8,6 +8,8 @@
 //!
 //! * [`addr`] — page-number newtypes ([`Gfn`], [`Vpn`], [`VmId`]) and size
 //!   conversion helpers,
+//! * [`chunked`] — a two-level table whose memory follows the entries in
+//!   use, not the index range (swap slots, disk-image pages),
 //! * [`content`] — opaque content labels used to *prove* data consistency
 //!   end-to-end (the Mapper's subtle consistency issues, §4.1),
 //! * [`ilist`] — an intrusive index list giving O(1) LRU queue surgery over
@@ -16,7 +18,9 @@
 //!   dirty bookkeeping,
 //! * [`ept`] — per-VM GPA⇒HPA tables whose non-present entries carry the
 //!   *backing location* of evicted pages (host swap slot, disk-image block,
-//!   or nothing).
+//!   or nothing),
+//! * [`slots`] — the cursor-scan swap-slot allocator shared by the host
+//!   swap area and the guest swap partition.
 //!
 //! # Examples
 //!
@@ -34,13 +38,17 @@
 #![warn(missing_docs)]
 
 pub mod addr;
+pub mod chunked;
 pub mod content;
 pub mod ept;
 pub mod frame;
 pub mod ilist;
+pub mod slots;
 
 pub use addr::{pages_to_bytes, pages_to_mb, Gfn, MemBytes, VmId, Vpn};
+pub use chunked::ChunkedTable;
 pub use content::{ContentLabel, LabelGen};
 pub use ept::{Backing, Ept, EptEntry};
 pub use frame::{FrameId, FrameOwner, HostFrameTable};
 pub use ilist::{IndexList, ListArena, ListHead};
+pub use slots::{SlotRecord, SlotTable};

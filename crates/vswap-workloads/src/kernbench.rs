@@ -107,7 +107,7 @@ impl GuestProgram for Kernbench {
         self.out_cursor = (self.out_cursor + n) % out_len;
 
         // The compiler exits; its memory returns to the free pool.
-        ctx.free_anon(cc, image, self.cfg.anon_pages_per_job)?;
+        ctx.exit_process(cc)?;
 
         self.job += 1;
         if self.job == self.cfg.jobs {

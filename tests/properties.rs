@@ -140,6 +140,58 @@ proptest! {
 }
 
 // ----------------------------------------------------------------------
+// ChunkedTable vs a BTreeMap model
+// ----------------------------------------------------------------------
+
+#[derive(Debug, Clone)]
+enum TableOp {
+    Set(u64, u64),
+    Clear(u64),
+    Get(u64),
+}
+
+fn table_op() -> impl Strategy<Value = TableOp> {
+    // 40 indices over five 8-entry chunks: sets and clears keep crossing
+    // chunk boundaries. A set of 0 is a clear too.
+    prop_oneof![
+        (0..40u64, 0..4u64).prop_map(|(i, v)| TableOp::Set(i, v)),
+        (0..40u64).prop_map(TableOp::Clear),
+        (0..40u64).prop_map(TableOp::Get),
+    ]
+}
+
+proptest! {
+    #[test]
+    fn chunked_table_matches_btreemap_model(ops in prop::collection::vec(table_op(), 1..300)) {
+        use std::collections::{BTreeMap, BTreeSet};
+        use vswap_mem::ChunkedTable;
+        let mut table: ChunkedTable<u64, 8> = ChunkedTable::new(40);
+        let mut model: BTreeMap<u64, u64> = BTreeMap::new();
+        for op in ops {
+            match op {
+                TableOp::Set(i, v) => {
+                    let old = if v == 0 { model.remove(&i) } else { model.insert(i, v) };
+                    prop_assert_eq!(table.set(i, v), old.unwrap_or(0));
+                }
+                TableOp::Clear(i) => prop_assert_eq!(table.take(i), model.remove(&i).unwrap_or(0)),
+                TableOp::Get(i) => prop_assert_eq!(table.get(i), model.get(&i).copied().unwrap_or(0)),
+            }
+            // A chunk exists exactly while one of its entries is set.
+            let chunks: BTreeSet<u64> = model.keys().map(|i| i / 8).collect();
+            prop_assert_eq!(table.allocated_chunks(), chunks.len());
+            prop_assert_eq!(table.occupied(), model.len() as u64);
+        }
+        let contents: Vec<(u64, u64)> = table.iter().collect();
+        let expected: Vec<(u64, u64)> = model.iter().map(|(&i, &v)| (i, v)).collect();
+        prop_assert_eq!(contents, expected);
+        for (i, _) in expected {
+            table.take(i);
+        }
+        prop_assert_eq!(table.allocated_chunks(), 0, "no chunk outlives its entries");
+    }
+}
+
+// ----------------------------------------------------------------------
 // Bitmap frame allocator vs a naive lowest-free-first model
 // ----------------------------------------------------------------------
 

@@ -49,10 +49,10 @@ USAGE:
 SUITE OPTIONS (figures / verify-tables):
   --jobs <N>          worker threads (default 0 = all cores); output is
                       bitwise identical for every worker count
-  --smoke             reduced ~16x scale (`figures` only; `verify-tables`
-                      is always smoke scale — that is what the corpus holds)
-  --seed <N>          suite root seed (`figures` only; the corpus is
-                      generated under the default seed)
+  --smoke             (`figures`) reduced ~16x scale; `verify-tables` is
+                      always smoke scale — that is what the corpus holds
+  --seed <N>          (`figures`) suite root seed; the corpus is generated
+                      under the default seed
   --bless             (`verify-tables`) rewrite crates/vswap-bench/golden/
                       from this run instead of diffing
   --bench-out <PATH>  (`verify-tables`) write a serial-vs-parallel timing
@@ -599,7 +599,7 @@ fn cmd_list() -> String {
     out
 }
 
-/// Arguments shared by the `figures` and `verify-tables` subcommands.
+/// Arguments of the `figures` and `verify-tables` subcommands.
 #[derive(Debug, Clone)]
 struct SuiteArgs {
     scale: Scale,
@@ -611,7 +611,11 @@ struct SuiteArgs {
     dump_dir: Option<String>,
 }
 
-fn parse_suite_args(args: &[String]) -> Result<SuiteArgs, String> {
+/// Parses the suite options of `cmd` (`figures` or `verify-tables`),
+/// rejecting the options only the other subcommand uses instead of
+/// silently ignoring them.
+fn parse_suite_args(cmd: &str, args: &[String]) -> Result<SuiteArgs, String> {
+    let verify = cmd == "verify-tables";
     let mut parsed = SuiteArgs {
         scale: Scale::Paper,
         jobs: 0,
@@ -626,6 +630,14 @@ fn parse_suite_args(args: &[String]) -> Result<SuiteArgs, String> {
         let mut value =
             |name: &str| it.next().cloned().ok_or_else(|| format!("{name} needs a value"));
         match arg.as_str() {
+            "--smoke" | "--seed" if verify => {
+                return Err(format!(
+                    "`verify-tables` does not take {arg}: the corpus is smoke-scale output under the default seed"
+                ))
+            }
+            "--bless" | "--bench-out" | "--dump-dir" if !verify => {
+                return Err(format!("`figures` does not take {arg}; it is a `verify-tables` option"))
+            }
             "--smoke" => parsed.scale = Scale::Smoke,
             "--jobs" => {
                 parsed.jobs = value("--jobs")?.parse().map_err(|e| format!("--jobs: {e}"))?
@@ -805,7 +817,7 @@ fn main() -> ExitCode {
     };
     let result = match cmd.as_str() {
         "list" => Ok(cmd_list()),
-        "figures" | "verify-tables" => match parse_suite_args(rest) {
+        "figures" | "verify-tables" => match parse_suite_args(cmd, rest) {
             Ok(suite_args) => {
                 if cmd == "figures" {
                     cmd_figures(&suite_args)
@@ -932,12 +944,37 @@ mod tests {
 
     #[test]
     fn suite_args_parse() {
+        let owned: Vec<String> = ["--smoke", "--jobs", "4", "--seed", "9", "fig03"]
+            .iter()
+            .map(|s| s.to_string())
+            .collect();
+        let a = parse_suite_args("figures", &owned).unwrap();
+        assert_eq!(a.scale, Scale::Smoke);
+        assert_eq!(a.jobs, 4);
+        assert_eq!(a.seed, 9);
+        assert_eq!(a.ids, vec!["fig03".to_owned()]);
+
+        let defaults = parse_suite_args("figures", &[]).unwrap();
+        assert_eq!(defaults.scale, Scale::Paper);
+        assert_eq!(defaults.jobs, 0, "0 = available parallelism");
+        assert_eq!(defaults.seed, suite::DEFAULT_SEED);
+
+        let bad: Vec<String> = vec!["not-an-experiment".to_owned()];
+        assert!(parse_suite_args("figures", &bad).is_err());
+        let bad: Vec<String> = vec!["--jobs".to_owned()];
+        assert!(parse_suite_args("figures", &bad).is_err(), "missing value");
+        for flag in [&["--bless"][..], &["--bench-out", "b.json"], &["--dump-dir", "tables"]] {
+            let owned: Vec<String> = flag.iter().map(|s| s.to_string()).collect();
+            let err = parse_suite_args("figures", &owned).unwrap_err();
+            assert!(err.contains("`figures` does not take"), "{err}");
+        }
+    }
+
+    #[test]
+    fn verify_tables_args_parse() {
         let owned: Vec<String> = [
-            "--smoke",
             "--jobs",
-            "4",
-            "--seed",
-            "9",
+            "2",
             "--bless",
             "--bench-out",
             "/tmp/b.json",
@@ -948,24 +985,17 @@ mod tests {
         .iter()
         .map(|s| s.to_string())
         .collect();
-        let a = parse_suite_args(&owned).unwrap();
-        assert_eq!(a.scale, Scale::Smoke);
-        assert_eq!(a.jobs, 4);
-        assert_eq!(a.seed, 9);
+        let a = parse_suite_args("verify-tables", &owned).unwrap();
+        assert_eq!(a.jobs, 2);
         assert!(a.bless);
         assert_eq!(a.bench_out.as_deref(), Some("/tmp/b.json"));
         assert_eq!(a.dump_dir.as_deref(), Some("/tmp/tables"));
         assert_eq!(a.ids, vec!["fig03".to_owned()]);
-
-        let defaults = parse_suite_args(&[]).unwrap();
-        assert_eq!(defaults.scale, Scale::Paper);
-        assert_eq!(defaults.jobs, 0, "0 = available parallelism");
-        assert_eq!(defaults.seed, suite::DEFAULT_SEED);
-
-        let bad: Vec<String> = vec!["not-an-experiment".to_owned()];
-        assert!(parse_suite_args(&bad).is_err());
-        let bad: Vec<String> = vec!["--jobs".to_owned()];
-        assert!(parse_suite_args(&bad).is_err(), "missing value");
+        for flag in [&["--smoke"][..], &["--seed", "9"]] {
+            let owned: Vec<String> = flag.iter().map(|s| s.to_string()).collect();
+            let err = parse_suite_args("verify-tables", &owned).unwrap_err();
+            assert!(err.contains("`verify-tables` does not take"), "{err}");
+        }
     }
 
     #[test]

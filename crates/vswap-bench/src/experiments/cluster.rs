@@ -10,10 +10,10 @@
 //! configurations keep mean completion time flat for longer — the same
 //! ordering Figure 14 shows on one host, reproduced across the fleet.
 
-use super::common::{phase_gap, SWEEP_CONFIGS};
+use super::common::{phase_gap, policy_rows, SWEEP_CONFIGS};
 use super::Scale;
-use crate::suite::{ExperimentPlan, TaskCtx, Unit, UnitOut};
-use crate::table::{Cell, Table};
+use crate::suite::{ExperimentPlan, Panel, TaskCtx};
+use crate::table::Cell;
 use sim_core::SimTime;
 use vswap_core::workload_api::FileScan;
 use vswap_core::{Cluster, ClusterConfig, ClusterReport, MachineConfig, SwapPolicy};
@@ -130,59 +130,29 @@ pub fn run_point(
 /// independent simulation, sized for the suite's worker pool.
 pub fn plan(scale: Scale) -> ExperimentPlan {
     let pts = points(scale);
-    let mut units = Vec::new();
-    for policy in SWEEP_CONFIGS {
-        for &(hosts, guests) in &pts {
-            units.push(Unit::new(
-                format!("{}/{hosts}h-{guests}g", policy.label()),
-                move |ctx: &mut TaskCtx| {
-                    let (mean, report) = run_point(scale, policy, hosts, guests, ctx);
-                    UnitOut::Cells(vec![
-                        mean.into(),
-                        Cell::Int(report.migration_count() as u64),
-                        Cell::Int(report.kill_count() as u64),
-                    ])
-                },
-            ));
-        }
-    }
-    ExperimentPlan::new(units, move |outs| {
-        let cols: Vec<String> = std::iter::once("config".to_owned())
-            .chain(pts.iter().map(|(h, g)| format!("{h}h/{g}g")))
-            .collect();
-        let headers: Vec<&str> = cols.iter().map(String::as_str).collect();
-        let mut runtime = Table::new(
+    let cols = pts.iter().map(|&(h, g)| (format!("{h}h-{g}g"), (h, g))).collect();
+    let panels = move |_: &[String]| {
+        [
             "Cluster: mean scan completion time [s] by fleet size (cascade point)",
-            headers.clone(),
-        );
-        let mut migrations = Table::new(
             "Cluster: live migrations triggered by the overcommit scheduler",
-            headers.clone(),
-        );
-        let mut kills = Table::new("Cluster: guest OOM kills across the fleet", headers);
-        let mut outs = outs.into_iter();
-        for policy in SWEEP_CONFIGS {
-            let mut mean_row = vec![Cell::from(policy.label())];
-            let mut mig_row = vec![Cell::from(policy.label())];
-            let mut kill_row = vec![Cell::from(policy.label())];
-            for _ in &pts {
-                let cells = outs.next().expect("one output per unit").into_cells();
-                let mut cells = cells.into_iter();
-                mean_row.push(cells.next().expect("mean cell"));
-                mig_row.push(cells.next().expect("migration cell"));
-                kill_row.push(cells.next().expect("kill cell"));
-            }
-            runtime.push(mean_row);
-            migrations.push(mig_row);
-            kills.push(kill_row);
-        }
-        vec![runtime, migrations, kills]
-    })
-}
-
-/// Runs the experiment at the given scale.
-pub fn run(scale: Scale) -> Vec<Table> {
-    crate::suite::run_plan_serial("cluster", plan(scale), crate::suite::DEFAULT_SEED)
+            "Cluster: guest OOM kills across the fleet",
+        ]
+        .map(|title| Panel::new(title, "config", pts.iter().map(|(h, g)| format!("{h}h/{g}g"))))
+        .into()
+    };
+    ExperimentPlan::grid(
+        policy_rows(&SWEEP_CONFIGS),
+        cols,
+        panels,
+        move |policy, (hosts, guests), ctx| {
+            let (mean, report) = run_point(scale, policy, hosts, guests, ctx);
+            vec![
+                mean.into(),
+                Cell::Int(report.migration_count() as u64),
+                Cell::Int(report.kill_count() as u64),
+            ]
+        },
+    )
 }
 
 #[cfg(test)]

@@ -18,10 +18,10 @@
 //! re-fault everything it lost.
 
 use super::cluster::{cluster_host, scan_pages, tenant_vm};
-use super::common::phase_gap;
+use super::common::{phase_gap, sweep_panel};
 use super::Scale;
-use crate::suite::{ExperimentPlan, TaskCtx, Unit, UnitOut};
-use crate::table::{Cell, Table};
+use crate::suite::{ExperimentPlan, TaskCtx};
+use crate::table::Cell;
 use sim_core::SimTime;
 use vswap_core::workload_api::FileScan;
 use vswap_core::{
@@ -97,80 +97,51 @@ pub fn run_point(scale: Scale, pt: ChaosPoint, ctx: &mut TaskCtx) -> (f64, Clust
     (mean, report)
 }
 
-/// One unit per `(policy, fleet, profile)` point.
+/// One unit per `(policy, fleet, profile)` point: rows are the
+/// `(policy, fleet)` pairs, columns the fault profiles.
 pub fn plan(scale: Scale) -> ExperimentPlan {
     let pts = points(scale);
-    let mut units = Vec::new();
-    for policy in POLICIES {
-        for &(hosts, guests) in &pts {
-            for profile in ClusterFaultProfile::ALL {
-                units.push(Unit::new(
-                    format!("{}/{hosts}h-{guests}g/{}", policy.label(), profile.label()),
-                    move |ctx: &mut TaskCtx| {
-                        let pt = ChaosPoint {
-                            policy,
-                            hosts,
-                            guests,
-                            profile,
-                            seed: crate::suite::DEFAULT_SEED,
-                            fault_seed: None,
-                        };
-                        let (mean, report) = run_point(scale, pt, ctx);
-                        UnitOut::Cells(vec![
-                            mean.into(),
-                            Cell::Int(report.crash_count() as u64),
-                            Cell::Int(report.evacuated_guests()),
-                            Cell::Int(report.recovered_pages()),
-                            Cell::Int(report.refaulted_pages()),
-                            Cell::Int(report.abort_count() as u64),
-                            Cell::Int(report.abandoned_migrations),
-                            Cell::Int(report.brownout_epochs()),
-                            Cell::Int(report.kill_count() as u64),
-                        ])
-                    },
-                ));
-            }
-        }
-    }
-    ExperimentPlan::new(units, move |outs| {
-        let profile_cols: Vec<&str> = ClusterFaultProfile::ALL.iter().map(|p| p.label()).collect();
-        let mut headers = vec!["config"];
-        headers.extend(&profile_cols);
-        let mut runtime = Table::new(
-            "Cluster chaos: mean scan completion time [s] by fleet fault profile",
-            headers,
-        );
-        let mut events = Table::new(
-            "Cluster chaos: fault events (crashes/evacuated/recovered/refaulted/aborts/abandoned/brownouts/kills)",
-            {
-                let mut h = vec!["config"];
-                h.extend(&profile_cols);
-                h
-            },
-        );
-        let mut outs = outs.into_iter();
-        for policy in POLICIES {
-            for &(hosts, guests) in &pts {
-                let label = format!("{}/{hosts}h-{guests}g", policy.label());
-                let mut mean_row = vec![Cell::from(label.clone())];
-                let mut event_row = vec![Cell::from(label)];
-                for _ in ClusterFaultProfile::ALL {
-                    let cells = outs.next().expect("one output per unit").into_cells();
-                    mean_row.push(cells[0].clone());
-                    let ints: Vec<String> = cells[1..].iter().map(ToString::to_string).collect();
-                    event_row.push(Cell::Text(ints.join("/")));
-                }
-                runtime.push(mean_row);
-                events.push(event_row);
-            }
-        }
-        vec![runtime, events]
+    let rows = POLICIES
+        .iter()
+        .flat_map(|&policy| {
+            pts.iter().map(move |&(hosts, guests)| {
+                (format!("{}/{hosts}h-{guests}g", policy.label()), (policy, hosts, guests))
+            })
+        })
+        .collect();
+    let cols = ClusterFaultProfile::ALL.iter().map(|&p| (p.label().to_owned(), p)).collect();
+    let panels = |keys: &[String]| {
+        vec![
+            sweep_panel("Cluster chaos: mean scan completion time [s] by fleet fault profile", keys),
+            sweep_panel(
+                "Cluster chaos: fault events (crashes/evacuated/recovered/refaulted/aborts/abandoned/brownouts/kills)",
+                keys,
+            ),
+        ]
+    };
+    ExperimentPlan::grid(rows, cols, panels, move |(policy, hosts, guests), profile, ctx| {
+        let pt = ChaosPoint {
+            policy,
+            hosts,
+            guests,
+            profile,
+            seed: crate::suite::DEFAULT_SEED,
+            fault_seed: None,
+        };
+        let (mean, report) = run_point(scale, pt, ctx);
+        let events = [
+            report.crash_count() as u64,
+            report.evacuated_guests(),
+            report.recovered_pages(),
+            report.refaulted_pages(),
+            report.abort_count() as u64,
+            report.abandoned_migrations,
+            report.brownout_epochs(),
+            report.kill_count() as u64,
+        ]
+        .map(|n| n.to_string());
+        vec![mean.into(), Cell::Text(events.join("/"))]
     })
-}
-
-/// Runs the experiment at the given scale.
-pub fn run(scale: Scale) -> Vec<Table> {
-    crate::suite::run_plan_serial("cluster-chaos", plan(scale), crate::suite::DEFAULT_SEED)
 }
 
 #[cfg(test)]

@@ -1,8 +1,9 @@
-//! Shared experiment plumbing: hosts, guests, and measurement helpers.
+//! Shared experiment plumbing: hosts, guests, sweep rows and columns.
 
 use super::Scale;
+use crate::suite::Panel;
 use sim_core::SimDuration;
-use vswap_core::{Machine, MachineConfig, RunReport, SwapPolicy, VmHandle};
+use vswap_core::{Machine, SwapPolicy, VmHandle};
 use vswap_guestos::GuestSpec;
 use vswap_hostos::HostSpec;
 use vswap_hypervisor::VmSpec;
@@ -25,6 +26,44 @@ pub const SWEEP_CONFIGS: [SwapPolicy; 4] = [
     SwapPolicy::Vswapper,
     SwapPolicy::BalloonBaseline,
 ];
+
+/// Grid rows for a policy line-up, labelled the way the figures label
+/// them.
+pub fn policy_rows(policies: &[SwapPolicy]) -> Vec<(String, SwapPolicy)> {
+    policies.iter().map(|&p| (p.label().to_owned(), p)).collect()
+}
+
+/// Grid rows for a one-bar-per-configuration figure: each policy with
+/// its paper-reported value, whose label must name the same policy.
+///
+/// # Panics
+///
+/// Panics if the paper labels are not in the policies' order.
+pub fn paper_rows(
+    policies: &[SwapPolicy],
+    paper: &[(&str, f64)],
+) -> Vec<(String, (SwapPolicy, f64))> {
+    assert_eq!(policies.len(), paper.len(), "one paper value per policy");
+    policies
+        .iter()
+        .zip(paper)
+        .map(|(&p, &(label, value))| {
+            assert_eq!(label, p.label(), "paper values must follow the policy order");
+            (label.to_owned(), (p, value))
+        })
+        .collect()
+}
+
+/// Grid columns for an actual-memory sweep, keyed `{mb}MB`.
+pub fn mb_columns(sweep: &[u64]) -> Vec<(String, u64)> {
+    sweep.iter().map(|&mb| (format!("{mb}MB"), mb)).collect()
+}
+
+/// A sweep panel: a `config` row-label header, then one header per
+/// column key.
+pub fn sweep_panel(title: &'static str, keys: &[String]) -> Panel {
+    Panel::new(title, "config", keys.iter().map(String::as_str))
+}
 
 /// The paper's host, scaled.
 pub fn host(scale: Scale) -> HostSpec {
@@ -56,15 +95,6 @@ pub fn linux_vm(scale: Scale, name: &str, mem_mb: u64, actual_mb: u64) -> VmSpec
     })
 }
 
-/// Builds a machine for one policy over the standard host.
-///
-/// # Panics
-///
-/// Panics if the host spec is inconsistent (a bug in the experiment).
-pub fn machine(policy: SwapPolicy, host: HostSpec) -> Machine {
-    Machine::new(MachineConfig::preset(policy).with_host(host)).expect("valid experiment host")
-}
-
 /// Runs the Sysbench prepare + guest-aging protocol (§3.1): creates and
 /// writes the test file, then cycles every guest frame through the page
 /// cache and drops it, so the measured iterations start against a guest
@@ -76,25 +106,6 @@ pub fn prepare_and_age(m: &mut Machine, vm: VmHandle, file_pages: u64) -> Shared
     m.launch(vm, Box::new(AgeGuest::new()));
     let _ = m.run();
     shared
-}
-
-/// Runtime of the most recent workload on `vm`, in simulated seconds.
-pub fn last_runtime_secs(report: &RunReport, vm: VmHandle) -> f64 {
-    report.vm(vm).runtime_secs()
-}
-
-/// Formats a policy for a table row.
-pub fn row_label(policy: SwapPolicy) -> String {
-    policy.label().to_owned()
-}
-
-/// A paper-vs-measured helper: "who wins" ratios used in assertions.
-pub fn ratio(a: f64, b: f64) -> f64 {
-    if b == 0.0 {
-        f64::INFINITY
-    } else {
-        a / b
-    }
 }
 
 /// Durations for MOM-managed dynamic experiments.

@@ -5,10 +5,9 @@
 //! vswapper 4.0, balloon+vswapper 3.1 — "the best we have observed in
 //! favor of ballooning".
 
-use super::common::{host, linux_vm, prepare_and_age, FOUR_CONFIGS};
+use super::common::{host, linux_vm, paper_rows, prepare_and_age, FOUR_CONFIGS};
 use super::Scale;
-use crate::suite::{ExperimentPlan, TaskCtx, Unit, UnitOut};
-use crate::table::Table;
+use crate::suite::{ExperimentPlan, Panel};
 use vswap_mem::MemBytes;
 use vswap_workloads::SysbenchRead;
 
@@ -19,39 +18,24 @@ pub const PAPER_SECONDS: [(&str, f64); 4] =
 /// One unit per configuration: the four sequential-read simulations are
 /// independent machines.
 pub fn plan(scale: Scale) -> ExperimentPlan {
-    let units = FOUR_CONFIGS
-        .iter()
-        .map(|&policy| {
-            Unit::new(policy.label(), move |ctx: &mut TaskCtx| {
-                let mut m = ctx.machine("read", policy, host(scale));
-                let vm = m.add_vm(linux_vm(scale, "guest", 512, 100)).expect("experiment VM fits");
-                let file_pages = MemBytes::from_mb(scale.mb(200)).pages();
-                let shared = prepare_and_age(&mut m, vm, file_pages);
-                m.launch(vm, Box::new(SysbenchRead::new(shared)));
-                let report = m.run();
-                ctx.absorb_report("read", &report);
-                UnitOut::Value(report.vm(vm).runtime_secs())
-            })
-        })
-        .collect();
-    ExperimentPlan::new(units, |outs| {
-        let mut table = Table::new(
+    let panels = || {
+        vec![Panel::new(
             "Figure 3: sequential read of a 200MB file (512MB guest, 100MB actual) — runtime [s]",
-            vec!["config", "measured [s]", "paper [s]"],
-        );
-        for ((policy, &(label, paper)), out) in
-            FOUR_CONFIGS.iter().zip(PAPER_SECONDS.iter()).zip(outs)
-        {
-            debug_assert_eq!(label, policy.label());
-            table.push(vec![policy.label().into(), out.into_value().into(), paper.into()]);
-        }
-        vec![table]
+            "config",
+            ["measured [s]", "paper [s]"],
+        )]
+    };
+    let rows = paper_rows(&FOUR_CONFIGS, &PAPER_SECONDS);
+    ExperimentPlan::per_row(rows, panels, move |(policy, paper), ctx| {
+        let mut m = ctx.machine("read", policy, host(scale));
+        let vm = m.add_vm(linux_vm(scale, "guest", 512, 100)).expect("experiment VM fits");
+        let file_pages = MemBytes::from_mb(scale.mb(200)).pages();
+        let shared = prepare_and_age(&mut m, vm, file_pages);
+        m.launch(vm, Box::new(SysbenchRead::new(shared)));
+        let report = m.run();
+        ctx.absorb_report("read", &report);
+        vec![report.vm(vm).runtime_secs().into(), paper.into()]
     })
-}
-
-/// Runs the experiment at the given scale.
-pub fn run(scale: Scale) -> Vec<Table> {
-    crate::suite::run_plan_serial("fig03", plan(scale), crate::suite::DEFAULT_SEED)
 }
 
 #[cfg(test)]
@@ -60,7 +44,7 @@ mod tests {
 
     #[test]
     fn smoke_shape_matches_paper() {
-        let tables = run(Scale::Smoke);
+        let tables = crate::run_experiment("fig03", Scale::Smoke);
         let t = &tables[0];
         let base = t.value("baseline", "measured [s]").unwrap();
         let balloon = t.value("balloon+base", "measured [s]").unwrap();

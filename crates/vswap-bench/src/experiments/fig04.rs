@@ -6,11 +6,10 @@
 //! twice as fast as baseline ballooning" because the balloon manager
 //! cannot reapportion memory fast enough.
 
-use super::common::FOUR_CONFIGS;
+use super::common::{paper_rows, FOUR_CONFIGS};
 use super::fig14::run_point;
 use super::Scale;
-use crate::suite::{ExperimentPlan, TaskCtx, Unit, UnitOut};
-use crate::table::Table;
+use crate::suite::{ExperimentPlan, Panel};
 
 /// Paper-reported mean runtimes for the four configurations.
 pub const PAPER_SECONDS: [(&str, f64); 4] =
@@ -23,31 +22,16 @@ pub fn plan(scale: Scale) -> ExperimentPlan {
         Scale::Paper => 10,
         Scale::Smoke => 5,
     };
-    let units = FOUR_CONFIGS
-        .iter()
-        .map(|&policy| {
-            Unit::new(policy.label(), move |ctx: &mut TaskCtx| {
-                let (mean, _) = run_point(scale, policy, guests, ctx);
-                UnitOut::Value(mean)
-            })
-        })
-        .collect();
-    ExperimentPlan::new(units, |outs| {
-        let mut table = Table::new(
+    let panels = || {
+        vec![Panel::new(
             "Figure 4: mean completion time of ten phased MapReduce guests [s]",
-            vec!["config", "measured [s]", "paper [s]"],
-        );
-        for ((policy, &(label, paper)), out) in
-            FOUR_CONFIGS.iter().zip(PAPER_SECONDS.iter()).zip(outs)
-        {
-            debug_assert_eq!(label, policy.label());
-            table.push(vec![policy.label().into(), out.into_value().into(), paper.into()]);
-        }
-        vec![table]
+            "config",
+            ["measured [s]", "paper [s]"],
+        )]
+    };
+    let rows = paper_rows(&FOUR_CONFIGS, &PAPER_SECONDS);
+    ExperimentPlan::per_row(rows, panels, move |(policy, paper), ctx| {
+        let (mean, _) = run_point(scale, policy, guests, ctx);
+        vec![mean.into(), paper.into()]
     })
-}
-
-/// Runs the experiment at the given scale.
-pub fn run(scale: Scale) -> Vec<Table> {
-    crate::suite::run_plan_serial("fig04", plan(scale), crate::suite::DEFAULT_SEED)
 }

@@ -6,70 +6,35 @@
 //! uncooperative configurations (baseline, mapper, vswapper) keep the
 //! job alive at every size.
 
+use super::common::{mb_columns, policy_rows, sweep_panel, SWEEP_CONFIGS};
 use super::fig11::run_point;
 use super::Scale;
-use crate::suite::{ExperimentPlan, TaskCtx, Unit, UnitOut};
-use crate::table::{Cell, Table};
-use vswap_core::SwapPolicy;
+use crate::suite::ExperimentPlan;
+use crate::table::Cell;
 
 /// The actual-memory points of Figure 5 (MB).
 pub const SWEEP_MB: [u64; 3] = [512, 240, 128];
 
-/// The four lines of Figure 5.
-pub const CONFIGS: [SwapPolicy; 4] = [
-    SwapPolicy::Baseline,
-    SwapPolicy::MapperOnly,
-    SwapPolicy::Vswapper,
-    SwapPolicy::BalloonBaseline,
-];
-
 /// One unit per `(policy, actual-MB)` point of the over-ballooning sweep.
 pub fn plan(scale: Scale) -> ExperimentPlan {
-    let mut units = Vec::new();
-    for policy in CONFIGS {
-        for &mb in &SWEEP_MB {
-            units.push(Unit::new(
-                format!("{}/{mb}MB", policy.label()),
-                move |ctx: &mut TaskCtx| {
-                    let p = run_point(scale, policy, mb, ctx);
-                    UnitOut::Cells(vec![if p.killed {
-                        Cell::Missing
-                    } else {
-                        p.runtime_secs.into()
-                    }])
-                },
-            ));
-        }
-    }
-    ExperimentPlan::new(units, |outs| {
-        let cols: Vec<String> = std::iter::once("config".to_owned())
-            .chain(SWEEP_MB.iter().map(|mb| format!("{mb}MB")))
-            .collect();
-        let mut table = Table::new(
+    let panels = |keys: &[String]| {
+        vec![sweep_panel(
             "Figure 5: pbzip2 runtime [s] vs actual guest memory ('-' = killed by guest OOM)",
-            cols.iter().map(String::as_str).collect(),
-        );
-        let mut outs = outs.into_iter();
-        for policy in CONFIGS {
-            let mut row = vec![Cell::from(policy.label())];
-            for _ in &SWEEP_MB {
-                let mut cells = outs.next().expect("one output per unit").into_cells();
-                row.push(cells.pop().expect("one cell per point"));
-            }
-            table.push(row);
-        }
-        vec![table]
+            keys,
+        )]
+    };
+    let (rows, cols) = (policy_rows(&SWEEP_CONFIGS), mb_columns(&SWEEP_MB));
+    ExperimentPlan::grid(rows, cols, panels, move |policy, mb, ctx| {
+        let p = run_point(scale, policy, mb, ctx);
+        vec![if p.killed { Cell::Missing } else { p.runtime_secs.into() }]
     })
-}
-
-/// Runs the experiment at the given scale.
-pub fn run(scale: Scale) -> Vec<Table> {
-    crate::suite::run_plan_serial("fig05", plan(scale), crate::suite::DEFAULT_SEED)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::suite::TaskCtx;
+    use vswap_core::SwapPolicy;
 
     fn ctx(label: &str) -> TaskCtx {
         TaskCtx::standalone(crate::suite::DEFAULT_SEED, label)

@@ -10,10 +10,10 @@
 //! * (d) sectors written to the host swap area — silent swap writes,
 //!   roughly constant per iteration.
 
-use super::common::{host, linux_vm, prepare_and_age};
+use super::common::{host, linux_vm, policy_rows, prepare_and_age};
 use super::Scale;
-use crate::suite::{ExperimentPlan, TaskCtx, Unit, UnitOut};
-use crate::table::Table;
+use crate::suite::{ExperimentPlan, Panel, TaskCtx};
+use crate::table::Cell;
 use vswap_core::{Machine, RunReport, SwapPolicy, VmHandle};
 use vswap_mem::MemBytes;
 use vswap_workloads::{SharedFile, SysbenchRead};
@@ -78,58 +78,24 @@ fn run_iteration(m: &mut Machine, vm: VmHandle, shared: &SharedFile) -> RunRepor
 /// the smallest independent piece.
 pub fn plan(scale: Scale) -> ExperimentPlan {
     let iterations = 8u32;
-    let units = CONFIGS
-        .iter()
-        .map(|&policy| {
-            Unit::new(policy.label(), move |ctx: &mut TaskCtx| {
-                let s = run_config(scale, policy, iterations, ctx);
-                let mut cells = Vec::new();
-                for i in 0..iterations as usize {
-                    cells.push(s.runtime_secs[i].into());
-                }
-                for i in 0..iterations as usize {
-                    cells.push(s.host_faults[i].into());
-                }
-                for i in 0..iterations as usize {
-                    cells.push(s.guest_faults[i].into());
-                }
-                for i in 0..iterations as usize {
-                    cells.push(s.sectors_written[i].into());
-                }
-                UnitOut::Cells(cells)
-            })
-        })
-        .collect();
-    ExperimentPlan::new(units, move |outs| {
-        let titles = [
+    let panels = move || {
+        [
             "Figure 9a: runtime per iteration [s]",
             "Figure 9b: host page faults per iteration (stale reads + false anonymity)",
             "Figure 9c: guest page faults per iteration (decayed sequentiality)",
             "Figure 9d: sectors written to host swap per iteration (silent writes)",
-        ];
-        let series: Vec<Vec<crate::table::Cell>> =
-            outs.into_iter().map(UnitOut::into_cells).collect();
-        let iters = iterations as usize;
-        let mut tables = Vec::new();
-        for (panel, title) in titles.into_iter().enumerate() {
-            let cols: Vec<String> = std::iter::once("config".to_owned())
-                .chain((1..=iters).map(|i| format!("iter {i}")))
-                .collect();
-            let mut table = Table::new(title, cols.iter().map(String::as_str).collect());
-            for (row, policy) in CONFIGS.iter().enumerate() {
-                let mut cells = vec![crate::table::Cell::from(policy.label())];
-                cells.extend(series[row][panel * iters..(panel + 1) * iters].iter().cloned());
-                table.push(cells);
-            }
-            tables.push(table);
-        }
-        tables
+        ]
+        .map(|title| Panel::new(title, "config", (1..=iterations).map(|i| format!("iter {i}"))))
+        .into()
+    };
+    ExperimentPlan::per_row(policy_rows(&CONFIGS), panels, move |policy, ctx| {
+        let s = run_config(scale, policy, iterations, ctx);
+        let mut cells: Vec<Cell> = s.runtime_secs.into_iter().map(Cell::from).collect();
+        cells.extend(s.host_faults.into_iter().map(Cell::from));
+        cells.extend(s.guest_faults.into_iter().map(Cell::from));
+        cells.extend(s.sectors_written.into_iter().map(Cell::from));
+        cells
     })
-}
-
-/// Runs the experiment at the given scale.
-pub fn run(scale: Scale) -> Vec<Table> {
-    crate::suite::run_plan_serial("fig09", plan(scale), crate::suite::DEFAULT_SEED)
 }
 
 #[cfg(test)]

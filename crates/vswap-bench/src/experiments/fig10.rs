@@ -9,22 +9,14 @@
 //! that "enabling the Preventer more than doubles the performance",
 //! tightly correlated with disk operations.
 
-use super::common::{host, linux_vm, prepare_and_age};
+use super::common::{host, linux_vm, policy_rows, prepare_and_age, SWEEP_CONFIGS};
 use super::Scale;
-use crate::suite::{ExperimentPlan, TaskCtx, Unit, UnitOut};
-use crate::table::{Cell, Table};
+use crate::suite::{ExperimentPlan, Panel, TaskCtx};
+use crate::table::Cell;
 use vswap_core::{RunReport, SwapPolicy};
 use vswap_mem::MemBytes;
 use vswap_workloads::alloctouch::{AccessMode, AllocStream};
 use vswap_workloads::SysbenchRead;
-
-/// The four bars of Figure 10.
-pub const CONFIGS: [SwapPolicy; 4] = [
-    SwapPolicy::Baseline,
-    SwapPolicy::MapperOnly,
-    SwapPolicy::Vswapper,
-    SwapPolicy::BalloonBaseline,
-];
 
 /// Runs one configuration; returns (runtime seconds, disk ops during the
 /// microbenchmark, killed, report).
@@ -54,36 +46,21 @@ pub fn run_config(
 
 /// One unit per configuration bar.
 pub fn plan(scale: Scale) -> ExperimentPlan {
-    let units = CONFIGS
-        .iter()
-        .map(|&policy| {
-            Unit::new(policy.label(), move |ctx: &mut TaskCtx| {
-                let (rt, ops, killed, report) = run_config(scale, policy, ctx);
-                UnitOut::Cells(vec![
-                    if killed { Cell::Missing } else { rt.into() },
-                    if killed { Cell::Missing } else { Cell::Float(ops as f64 / 1000.0) },
-                    report.host.get("false_swap_reads").into(),
-                ])
-            })
-        })
-        .collect();
-    ExperimentPlan::new(units, |outs| {
-        let mut table = Table::new(
+    let panels = || {
+        vec![Panel::new(
             "Figure 10: alloc+touch 200MB after the file read — runtime and disk ops ('-' = killed)",
-            vec!["config", "runtime [s]", "disk ops [thousands]", "false swap reads"],
-        );
-        for (policy, out) in CONFIGS.iter().zip(outs) {
-            let mut row = vec![Cell::from(policy.label())];
-            row.extend(out.into_cells());
-            table.push(row);
-        }
-        vec![table]
+            "config",
+            ["runtime [s]", "disk ops [thousands]", "false swap reads"],
+        )]
+    };
+    ExperimentPlan::per_row(policy_rows(&SWEEP_CONFIGS), panels, move |policy, ctx| {
+        let (rt, ops, killed, report) = run_config(scale, policy, ctx);
+        vec![
+            if killed { Cell::Missing } else { rt.into() },
+            if killed { Cell::Missing } else { Cell::Float(ops as f64 / 1000.0) },
+            report.host.get("false_swap_reads").into(),
+        ]
     })
-}
-
-/// Runs the experiment at the given scale.
-pub fn run(scale: Scale) -> Vec<Table> {
-    crate::suite::run_plan_serial("fig10", plan(scale), crate::suite::DEFAULT_SEED)
 }
 
 #[cfg(test)]

@@ -10,10 +10,10 @@
 //! Figure 5 (the runtime panel of the same sweep, plus the
 //! over-ballooning kills) reuses [`run_point`].
 
-use super::common::{host, linux_vm, SWEEP_CONFIGS};
+use super::common::{host, linux_vm, mb_columns, policy_rows, sweep_panel, SWEEP_CONFIGS};
 use super::Scale;
-use crate::suite::{ExperimentPlan, TaskCtx, Unit, UnitOut};
-use crate::table::{Cell, Table};
+use crate::suite::{ExperimentPlan, TaskCtx};
+use crate::table::Cell;
 use vswap_core::{RunReport, SwapPolicy};
 use vswap_mem::MemBytes;
 use vswap_workloads::pbzip2::{Pbzip2, Pbzip2Config};
@@ -79,52 +79,20 @@ pub fn run_point(
 /// One unit per `(policy, actual-MB)` sweep point; each point
 /// contributes one cell to each of the three panels.
 pub fn plan(scale: Scale) -> ExperimentPlan {
-    let mut units = Vec::new();
-    for &policy in SWEEP_CONFIGS.iter() {
-        for &mb in &SWEEP_MB {
-            units.push(Unit::new(
-                format!("{}/{mb}MB", policy.label()),
-                move |ctx: &mut TaskCtx| {
-                    let p = run_point(scale, policy, mb, ctx);
-                    let cell = |c: Cell| if p.killed { Cell::Missing } else { c };
-                    UnitOut::Cells(vec![
-                        cell(p.disk_ops.into()),
-                        cell(p.sectors_written.into()),
-                        cell(p.pages_scanned.into()),
-                    ])
-                },
-            ));
-        }
-    }
-    ExperimentPlan::new(units, |outs| {
-        let panels = [
-            "Figure 11a: disk operations [count]",
-            "Figure 11b: written sectors [count]",
-            "Figure 11c: pages scanned by reclaim [count]",
-        ];
-        let points: Vec<Vec<Cell>> = outs.into_iter().map(UnitOut::into_cells).collect();
-        let mut tables = Vec::new();
-        for (panel, title) in panels.into_iter().enumerate() {
-            let cols: Vec<String> = std::iter::once("config".to_owned())
-                .chain(SWEEP_MB.iter().map(|mb| format!("{mb}MB")))
-                .collect();
-            let mut table = Table::new(title, cols.iter().map(String::as_str).collect());
-            for (row_index, policy) in SWEEP_CONFIGS.iter().enumerate() {
-                let mut row = vec![Cell::from(policy.label())];
-                for col in 0..SWEEP_MB.len() {
-                    row.push(points[row_index * SWEEP_MB.len() + col][panel].clone());
-                }
-                table.push(row);
-            }
-            tables.push(table);
-        }
-        tables
+    let panels = |keys: &[String]| {
+        vec![
+            sweep_panel("Figure 11a: disk operations [count]", keys),
+            sweep_panel("Figure 11b: written sectors [count]", keys),
+            sweep_panel("Figure 11c: pages scanned by reclaim [count]", keys),
+        ]
+    };
+    let (rows, cols) = (policy_rows(&SWEEP_CONFIGS), mb_columns(&SWEEP_MB));
+    ExperimentPlan::grid(rows, cols, panels, move |policy, mb, ctx| {
+        let p = run_point(scale, policy, mb, ctx);
+        [p.disk_ops, p.sectors_written, p.pages_scanned]
+            .map(|v| if p.killed { Cell::Missing } else { v.into() })
+            .into()
     })
-}
-
-/// Runs the experiment at the given scale.
-pub fn run(scale: Scale) -> Vec<Table> {
-    crate::suite::run_plan_serial("fig11", plan(scale), crate::suite::DEFAULT_SEED)
 }
 
 #[cfg(test)]

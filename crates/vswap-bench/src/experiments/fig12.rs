@@ -7,10 +7,10 @@
 //! * (b) Preventer remaps — up to 80 K false reads eliminated as
 //!   compiler processes zero their address spaces over recycled frames.
 
-use super::common::{host, linux_vm};
+use super::common::{host, linux_vm, mb_columns, policy_rows, sweep_panel, SWEEP_CONFIGS};
 use super::Scale;
-use crate::suite::{ExperimentPlan, TaskCtx, Unit, UnitOut};
-use crate::table::{Cell, Table};
+use crate::suite::{ExperimentPlan, TaskCtx};
+use crate::table::Cell;
 use sim_core::SimDuration;
 use vswap_core::{RunReport, SwapPolicy};
 use vswap_mem::MemBytes;
@@ -18,14 +18,6 @@ use vswap_workloads::kernbench::{Kernbench, KernbenchConfig};
 
 /// The actual-memory sweep of Figure 12 (MB).
 pub const SWEEP_MB: [u64; 5] = [512, 448, 384, 256, 192];
-
-/// The four lines of Figure 12a.
-pub const CONFIGS: [SwapPolicy; 4] = [
-    SwapPolicy::Baseline,
-    SwapPolicy::MapperOnly,
-    SwapPolicy::Vswapper,
-    SwapPolicy::BalloonBaseline,
-];
 
 /// The kernbench workload at a given scale.
 pub fn workload(scale: Scale) -> KernbenchConfig {
@@ -68,53 +60,20 @@ pub fn run_point(
 
 /// One unit per `(policy, actual-MB)` point of the Kernbench sweep.
 pub fn plan(scale: Scale) -> ExperimentPlan {
-    let mut units = Vec::new();
-    for policy in CONFIGS {
-        for &mb in &SWEEP_MB {
-            units.push(Unit::new(
-                format!("{}/{mb}MB", policy.label()),
-                move |ctx: &mut TaskCtx| {
-                    let (report, rt, killed) = run_point(scale, policy, mb, ctx);
-                    UnitOut::Cells(vec![
-                        if killed { Cell::Missing } else { (rt / 60.0).into() },
-                        report.preventer.get("preventer_remaps").into(),
-                    ])
-                },
-            ));
-        }
-    }
-    ExperimentPlan::new(units, |outs| {
-        let cols: Vec<String> = std::iter::once("config".to_owned())
-            .chain(SWEEP_MB.iter().map(|mb| format!("{mb}MB")))
-            .collect();
-        let mut runtime = Table::new(
-            "Figure 12a: Kernbench runtime [minutes]",
-            cols.iter().map(String::as_str).collect(),
-        );
-        let mut remaps = Table::new(
-            "Figure 12b: Preventer remaps (false reads eliminated) [count]",
-            cols.iter().map(String::as_str).collect(),
-        );
-        let mut outs = outs.into_iter();
-        for policy in CONFIGS {
-            let mut rt_row = vec![Cell::from(policy.label())];
-            let mut rm_row = vec![Cell::from(policy.label())];
-            for _ in &SWEEP_MB {
-                let cells = outs.next().expect("one output per unit").into_cells();
-                let [rt, rm]: [Cell; 2] = cells.try_into().expect("two cells per point");
-                rt_row.push(rt);
-                rm_row.push(rm);
-            }
-            runtime.push(rt_row);
-            remaps.push(rm_row);
-        }
-        vec![runtime, remaps]
+    let panels = |keys: &[String]| {
+        vec![
+            sweep_panel("Figure 12a: Kernbench runtime [minutes]", keys),
+            sweep_panel("Figure 12b: Preventer remaps (false reads eliminated) [count]", keys),
+        ]
+    };
+    let (rows, cols) = (policy_rows(&SWEEP_CONFIGS), mb_columns(&SWEEP_MB));
+    ExperimentPlan::grid(rows, cols, panels, move |policy, mb, ctx| {
+        let (report, rt, killed) = run_point(scale, policy, mb, ctx);
+        vec![
+            if killed { Cell::Missing } else { (rt / 60.0).into() },
+            report.preventer.get("preventer_remaps").into(),
+        ]
     })
-}
-
-/// Runs the experiment at the given scale.
-pub fn run(scale: Scale) -> Vec<Table> {
-    crate::suite::run_plan_serial("fig12", plan(scale), crate::suite::DEFAULT_SEED)
 }
 
 #[cfg(test)]

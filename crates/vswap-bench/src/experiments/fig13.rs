@@ -7,10 +7,10 @@
 //! allocated memory is smaller than 448MB"; the uncooperative
 //! configurations never kill it.
 
-use super::common::{host, linux_vm};
+use super::common::{host, linux_vm, mb_columns, policy_rows, sweep_panel, SWEEP_CONFIGS};
 use super::Scale;
-use crate::suite::{ExperimentPlan, TaskCtx, Unit, UnitOut};
-use crate::table::{Cell, Table};
+use crate::suite::{ExperimentPlan, TaskCtx};
+use crate::table::Cell;
 use sim_core::SimDuration;
 use vswap_core::{RunReport, SwapPolicy};
 use vswap_mem::MemBytes;
@@ -18,14 +18,6 @@ use vswap_workloads::eclipse::{Eclipse, EclipseConfig};
 
 /// The actual-memory sweep of Figure 13 (MB).
 pub const SWEEP_MB: [u64; 5] = [512, 448, 384, 320, 256];
-
-/// The four lines of Figure 13.
-pub const CONFIGS: [SwapPolicy; 4] = [
-    SwapPolicy::Baseline,
-    SwapPolicy::MapperOnly,
-    SwapPolicy::Vswapper,
-    SwapPolicy::BalloonBaseline,
-];
 
 /// The Eclipse workload at a given scale.
 pub fn workload(scale: Scale) -> EclipseConfig {
@@ -67,42 +59,17 @@ pub fn run_point(
 
 /// One unit per `(policy, actual-MB)` point of the Eclipse sweep.
 pub fn plan(scale: Scale) -> ExperimentPlan {
-    let mut units = Vec::new();
-    for policy in CONFIGS {
-        for &mb in &SWEEP_MB {
-            units.push(Unit::new(
-                format!("{}/{mb}MB", policy.label()),
-                move |ctx: &mut TaskCtx| {
-                    let (_, rt, killed) = run_point(scale, policy, mb, ctx);
-                    UnitOut::Cells(vec![if killed { Cell::Missing } else { rt.into() }])
-                },
-            ));
-        }
-    }
-    ExperimentPlan::new(units, |outs| {
-        let cols: Vec<String> = std::iter::once("config".to_owned())
-            .chain(SWEEP_MB.iter().map(|mb| format!("{mb}MB")))
-            .collect();
-        let mut table = Table::new(
+    let panels = |keys: &[String]| {
+        vec![sweep_panel(
             "Figure 13: Eclipse runtime [s] vs actual guest memory ('-' = killed by guest OOM)",
-            cols.iter().map(String::as_str).collect(),
-        );
-        let mut outs = outs.into_iter();
-        for policy in CONFIGS {
-            let mut row = vec![Cell::from(policy.label())];
-            for _ in &SWEEP_MB {
-                let mut cells = outs.next().expect("one output per unit").into_cells();
-                row.push(cells.pop().expect("one cell per point"));
-            }
-            table.push(row);
-        }
-        vec![table]
+            keys,
+        )]
+    };
+    let (rows, cols) = (policy_rows(&SWEEP_CONFIGS), mb_columns(&SWEEP_MB));
+    ExperimentPlan::grid(rows, cols, panels, move |policy, mb, ctx| {
+        let (_, rt, killed) = run_point(scale, policy, mb, ctx);
+        vec![if killed { Cell::Missing } else { rt.into() }]
     })
-}
-
-/// Runs the experiment at the given scale.
-pub fn run(scale: Scale) -> Vec<Table> {
-    crate::suite::run_plan_serial("fig13", plan(scale), crate::suite::DEFAULT_SEED)
 }
 
 #[cfg(test)]

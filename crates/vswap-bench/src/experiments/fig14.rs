@@ -9,10 +9,9 @@
 //! balloon-only, baseline, and vswapper are 0.96–1.84×, 0.96–1.79×, and
 //! 0.97–1.11× of balloon+vswapper, respectively).
 
-use super::common::{host_with_dram, linux_vm, phase_gap, FOUR_CONFIGS};
+use super::common::{host_with_dram, linux_vm, phase_gap, policy_rows, FOUR_CONFIGS};
 use super::Scale;
-use crate::suite::{ExperimentPlan, TaskCtx, Unit, UnitOut};
-use crate::table::{Cell, Table};
+use crate::suite::{ExperimentPlan, Panel, TaskCtx};
 use sim_core::SimTime;
 use vswap_core::{MachineConfig, RunReport, SwapPolicy};
 use vswap_guestos::GuestSpec;
@@ -89,41 +88,18 @@ pub fn guest_counts(scale: Scale) -> Vec<u32> {
 /// suite's wall-clock — exactly what the worker pool should chew on.
 pub fn plan(scale: Scale) -> ExperimentPlan {
     let counts = guest_counts(scale);
-    let mut units = Vec::new();
-    for policy in FOUR_CONFIGS {
-        for &n in &counts {
-            units.push(Unit::new(
-                format!("{}/{n}-guests", policy.label()),
-                move |ctx: &mut TaskCtx| {
-                    let (mean, _) = run_point(scale, policy, n, ctx);
-                    UnitOut::Value(mean)
-                },
-            ));
-        }
-    }
-    ExperimentPlan::new(units, move |outs| {
-        let cols: Vec<String> = std::iter::once("config".to_owned())
-            .chain(counts.iter().map(|n| format!("{n} guests")))
-            .collect();
-        let mut table = Table::new(
+    let cols = counts.iter().map(|&n| (format!("{n}-guests"), n)).collect();
+    let panels = move |_: &[String]| {
+        vec![Panel::new(
             "Figure 14: mean MapReduce completion time [s], guests started 10s apart",
-            cols.iter().map(String::as_str).collect(),
-        );
-        let mut outs = outs.into_iter();
-        for policy in FOUR_CONFIGS {
-            let mut row = vec![Cell::from(policy.label())];
-            for _ in &counts {
-                row.push(outs.next().expect("one output per unit").into_value().into());
-            }
-            table.push(row);
-        }
-        vec![table]
+            "config",
+            counts.iter().map(|n| format!("{n} guests")),
+        )]
+    };
+    ExperimentPlan::grid(policy_rows(&FOUR_CONFIGS), cols, panels, move |policy, n, ctx| {
+        let (mean, _) = run_point(scale, policy, n, ctx);
+        vec![mean.into()]
     })
-}
-
-/// Runs the experiment at the given scale.
-pub fn run(scale: Scale) -> Vec<Table> {
-    crate::suite::run_plan_serial("fig14", plan(scale), crate::suite::DEFAULT_SEED)
 }
 
 #[cfg(test)]

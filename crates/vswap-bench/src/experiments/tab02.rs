@@ -9,8 +9,7 @@
 
 use super::common::{host_with_dram, linux_vm, prepare_and_age};
 use super::Scale;
-use crate::suite::{ExperimentPlan, TaskCtx, Unit, UnitOut};
-use crate::table::Table;
+use crate::suite::{ExperimentPlan, Panel, TaskCtx};
 use vswap_core::SwapPolicy;
 use vswap_mem::MemBytes;
 use vswap_workloads::SysbenchRead;
@@ -45,32 +44,18 @@ fn run_config(scale: Scale, policy: SwapPolicy, ctx: &mut TaskCtx) -> (f64, u64,
 
 /// One unit per configuration row.
 pub fn plan(scale: Scale) -> ExperimentPlan {
-    let units = ROWS
-        .iter()
-        .map(|&(label, policy)| {
-            Unit::new(label, move |ctx: &mut TaskCtx| {
-                let (rt, r, w, f) = run_config(scale, policy, ctx);
-                UnitOut::Cells(vec![rt.into(), r.into(), w.into(), f.into()])
-            })
-        })
-        .collect();
-    ExperimentPlan::new(units, |outs| {
-        let mut table = Table::new(
+    let panels = || {
+        vec![Panel::new(
             "Table 2: 1GB sequential read, 440MB guest / 350MB reserved (paper: 25s ballooned, 78s not; KVM+vswapper 12s)",
-            vec!["config", "runtime [s]", "swap sectors read", "swap sectors written", "major faults"],
-        );
-        for (&(label, _), out) in ROWS.iter().zip(outs) {
-            let mut row = vec![label.into()];
-            row.extend(out.into_cells());
-            table.push(row);
-        }
-        vec![table]
+            "config",
+            ["runtime [s]", "swap sectors read", "swap sectors written", "major faults"],
+        )]
+    };
+    let rows = ROWS.iter().map(|&(label, policy)| (label.to_owned(), policy)).collect();
+    ExperimentPlan::per_row(rows, panels, move |policy, ctx| {
+        let (rt, r, w, f) = run_config(scale, policy, ctx);
+        vec![rt.into(), r.into(), w.into(), f.into()]
     })
-}
-
-/// Runs the experiment at the given scale.
-pub fn run(scale: Scale) -> Vec<Table> {
-    crate::suite::run_plan_serial("tab02", plan(scale), crate::suite::DEFAULT_SEED)
 }
 
 #[cfg(test)]
@@ -79,7 +64,7 @@ mod tests {
 
     #[test]
     fn smoke_disabling_the_balloon_multiplies_swap_activity() {
-        let t = &run(Scale::Smoke)[0];
+        let t = &crate::run_experiment("tab02", Scale::Smoke)[0];
         let on = t.value("balloon enabled", "runtime [s]").unwrap();
         let off = t.value("balloon disabled", "runtime [s]").unwrap();
         let vswap = t.value("kvm + vswapper", "runtime [s]").unwrap();

@@ -13,7 +13,7 @@
 use super::common::{host_with_dram, prepare_and_age};
 use super::Scale;
 use crate::suite::{ExperimentPlan, TaskCtx, Unit, UnitOut};
-use crate::table::Table;
+use crate::table::{Cell, Table};
 use vswap_core::SwapPolicy;
 use vswap_guestos::GuestSpec;
 use vswap_hypervisor::VmSpec;
@@ -75,25 +75,22 @@ pub fn plan(scale: Scale) -> ExperimentPlan {
     for (tag, f) in rows {
         for policy in [SwapPolicy::Baseline, SwapPolicy::Vswapper] {
             units.push(Unit::new(format!("{tag}/{}", policy.label()), move |ctx: &mut TaskCtx| {
-                UnitOut::Value(f(scale, policy, ctx))
+                UnitOut::Cells(vec![f(scale, policy, ctx).into()])
             }));
         }
     }
     ExperimentPlan::new(units, |outs| {
-        let vals: Vec<f64> = outs.into_iter().map(UnitOut::into_value).collect();
+        let vals: Vec<Cell> = outs.into_iter().flat_map(UnitOut::into_cells).collect();
         let mut table = Table::new(
             "Section 5.4: Windows Server 2012 guest (paper: sysbench 302->79s, bzip2 306->149s)",
             vec!["workload", "baseline [s]", "vswapper [s]"],
         );
-        table.push(vec!["sysbench 2GB read @ 1GB actual".into(), vals[0].into(), vals[1].into()]);
-        table.push(vec!["bzip2 @ 512MB actual".into(), vals[2].into(), vals[3].into()]);
+        let [base_sys, vswap_sys, base_bz, vswap_bz]: [Cell; 4] =
+            vals.try_into().expect("one cell per unit");
+        table.push(vec!["sysbench 2GB read @ 1GB actual".into(), base_sys, vswap_sys]);
+        table.push(vec!["bzip2 @ 512MB actual".into(), base_bz, vswap_bz]);
         vec![table]
     })
-}
-
-/// Runs the experiment at the given scale.
-pub fn run(scale: Scale) -> Vec<Table> {
-    crate::suite::run_plan_serial("tab04", plan(scale), crate::suite::DEFAULT_SEED)
 }
 
 #[cfg(test)]

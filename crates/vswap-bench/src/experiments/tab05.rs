@@ -10,8 +10,7 @@
 
 use super::common::{host, linux_vm, prepare_and_age};
 use super::Scale;
-use crate::suite::{ExperimentPlan, TaskCtx, Unit, UnitOut};
-use crate::table::Table;
+use crate::suite::{ExperimentPlan, Panel, TaskCtx};
 use vswap_core::{LiveMigration, MigrationConfig, SwapPolicy};
 use vswap_mem::MemBytes;
 use vswap_workloads::{SharedFile, SysbenchPrepare, SysbenchRead};
@@ -58,27 +57,11 @@ fn migrate(
 
 /// One unit per migration scenario.
 pub fn plan(scale: Scale) -> ExperimentPlan {
-    let units = SCENARIOS
-        .iter()
-        .map(|&(label, policy, active)| {
-            Unit::new(label, move |ctx: &mut TaskCtx| {
-                let (mb, secs, down, rounds, refs, readbacks) = migrate(scale, policy, active, ctx);
-                UnitOut::Cells(vec![
-                    mb.into(),
-                    secs.into(),
-                    down.into(),
-                    rounds.into(),
-                    refs.into(),
-                    readbacks.into(),
-                ])
-            })
-        })
-        .collect();
-    ExperimentPlan::new(units, |outs| {
-        let mut table = Table::new(
+    let panels = || {
+        vec![Panel::new(
             "Section 7 (implemented): live migration of a warmed 512MB guest over 1Gb/s",
-            vec![
-                "scenario",
+            "scenario",
+            [
                 "traffic [MB]",
                 "time [s]",
                 "downtime [ms]",
@@ -86,19 +69,16 @@ pub fn plan(scale: Scale) -> ExperimentPlan {
                 "reference pages",
                 "swap readbacks",
             ],
-        );
-        for (&(label, ..), out) in SCENARIOS.iter().zip(outs) {
-            let mut row = vec![label.into()];
-            row.extend(out.into_cells());
-            table.push(row);
-        }
-        vec![table]
+        )]
+    };
+    let rows = SCENARIOS
+        .iter()
+        .map(|&(label, policy, active)| (label.to_owned(), (policy, active)))
+        .collect();
+    ExperimentPlan::per_row(rows, panels, move |(policy, active), ctx| {
+        let (mb, secs, down, rounds, refs, readbacks) = migrate(scale, policy, active, ctx);
+        vec![mb.into(), secs.into(), down.into(), rounds.into(), refs.into(), readbacks.into()]
     })
-}
-
-/// Runs the experiment at the given scale.
-pub fn run(scale: Scale) -> Vec<Table> {
-    crate::suite::run_plan_serial("tab05", plan(scale), crate::suite::DEFAULT_SEED)
 }
 
 #[cfg(test)]

@@ -12,35 +12,11 @@
 use crate::suite::{render_experiment, ExperimentResult};
 use std::path::PathBuf;
 
-/// The embedded corpus, in registry order.
-const CORPUS: [(&str, &str); 21] = [
-    ("fig03", include_str!("../golden/fig03.golden")),
-    ("fig04", include_str!("../golden/fig04.golden")),
-    ("fig05", include_str!("../golden/fig05.golden")),
-    ("fig09", include_str!("../golden/fig09.golden")),
-    ("fig10", include_str!("../golden/fig10.golden")),
-    ("fig11", include_str!("../golden/fig11.golden")),
-    ("fig12", include_str!("../golden/fig12.golden")),
-    ("fig13", include_str!("../golden/fig13.golden")),
-    ("fig14", include_str!("../golden/fig14.golden")),
-    ("fig15", include_str!("../golden/fig15.golden")),
-    ("tab01", include_str!("../golden/tab01.golden")),
-    ("tab02", include_str!("../golden/tab02.golden")),
-    ("tab03", include_str!("../golden/tab03.golden")),
-    ("tab04", include_str!("../golden/tab04.golden")),
-    ("tab05", include_str!("../golden/tab05.golden")),
-    ("ablate", include_str!("../golden/ablate.golden")),
-    ("chaos", include_str!("../golden/chaos.golden")),
-    ("latency", include_str!("../golden/latency.golden")),
-    ("cluster", include_str!("../golden/cluster.golden")),
-    ("devices", include_str!("../golden/devices.golden")),
-    ("cluster-chaos", include_str!("../golden/cluster-chaos.golden")),
-];
-
-/// Returns the checked-in golden rendering for an experiment id, or
-/// `None` for ids outside the corpus.
+/// Returns the checked-in golden rendering for an experiment id (the
+/// registry entry's [`golden`](crate::SuiteExperiment::golden)), or
+/// `None` for unregistered ids.
 pub fn golden(id: &str) -> Option<&'static str> {
-    CORPUS.iter().find(|(gid, _)| *gid == id).map(|(_, text)| *text)
+    crate::suite_experiments().into_iter().find(|e| e.id == id).map(|e| e.golden)
 }
 
 /// One experiment whose fresh output no longer matches its golden file.
@@ -89,15 +65,16 @@ fn first_diff(id: &str, expected: &str, actual: &str) -> Option<Drift> {
 
 /// Diffs freshly produced experiment results against the embedded
 /// corpus. Returns one [`Drift`] per experiment that no longer matches
-/// (empty = everything is canonical). Experiments missing a golden file
-/// (an empty corpus entry) are reported as drifting from line 1 so a
-/// forgotten `--bless` cannot pass silently.
+/// (empty = everything is canonical). An empty golden file is reported
+/// as drifting from line 1 so a forgotten `--bless` cannot pass
+/// silently.
 pub fn verify(results: &[ExperimentResult]) -> Vec<Drift> {
+    let registry = crate::suite_experiments();
     results
         .iter()
         .filter_map(|exp| {
             let fresh = render_experiment(exp.id, exp.title, &exp.tables);
-            let want = golden(exp.id).unwrap_or("");
+            let want = registry.iter().find(|e| e.id == exp.id).map_or("", |e| e.golden);
             first_diff(exp.id, want, &fresh)
         })
         .collect()
@@ -128,10 +105,7 @@ mod tests {
     use super::*;
 
     #[test]
-    fn corpus_covers_every_registered_experiment() {
-        for exp in crate::suite_experiments() {
-            assert!(golden(exp.id).is_some(), "no golden entry for `{}`", exp.id);
-        }
+    fn unregistered_ids_have_no_golden() {
         assert!(golden("not-an-experiment").is_none());
     }
 

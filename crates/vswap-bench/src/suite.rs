@@ -1,9 +1,10 @@
 //! Deterministic parallel execution of the experiment suite.
 //!
-//! The fifteen experiments (plus the ablations) decompose into
-//! independent *units* — one simulation apiece: a `(policy, memory)`
-//! sweep point, one multi-guest consolidation run, one migration
-//! scenario. [`run_suite`] fans those units across a worker pool and
+//! The suite's experiments (see [`crate::suite_experiments`]) decompose
+//! into independent *units* — one simulation apiece: a `(policy,
+//! memory)` sweep point, one multi-guest consolidation run, one
+//! migration scenario. Most are rows × columns sweeps declared with
+//! [`ExperimentPlan::grid`]. [`run_suite`] fans those units across a worker pool and
 //! reassembles each experiment's tables in declaration order, so the
 //! output is **bitwise identical** for every worker count, including 1.
 //!
@@ -25,7 +26,7 @@ use crate::table::{Cell, Table};
 use sim_core::DeterministicRng;
 use sim_obs::{EventLog, MetricsRegistry};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 use vswap_core::{Machine, MachineConfig, RunReport, SwapPolicy};
 use vswap_hostos::HostSpec;
@@ -126,8 +127,6 @@ pub enum UnitOut {
     Tables(Vec<Table>),
     /// Cells for the experiment to place into its tables (sweep points).
     Cells(Vec<Cell>),
-    /// A single scalar (per-configuration means).
-    Value(f64),
 }
 
 impl UnitOut {
@@ -152,18 +151,6 @@ impl UnitOut {
         match self {
             UnitOut::Cells(c) => c,
             other => panic!("expected Cells, unit produced {other:?}"),
-        }
-    }
-
-    /// Unwraps [`UnitOut::Value`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if the unit produced something else (an experiment bug).
-    pub fn into_value(self) -> f64 {
-        match self {
-            UnitOut::Value(v) => v,
-            other => panic!("expected Value, unit produced {other:?}"),
         }
     }
 }
@@ -227,9 +214,125 @@ impl ExperimentPlan {
         })
     }
 
+    /// A rows × columns sweep with one unit per cell, declared in
+    /// row-major order and labelled `"{row}/{col-key}"`. `unit` runs one
+    /// cell and returns one segment of cells per panel, concatenated in
+    /// panel order; a panel's segment width is its data headers (all
+    /// but the first) divided evenly across the columns. Assembly builds
+    /// one table per panel: each row is the row label followed by that
+    /// row's segments joined across the columns.
+    ///
+    /// `panels` receives the column keys and runs at assembly, so
+    /// planning builds no table headers.
+    ///
+    /// # Panics
+    ///
+    /// Panics (at assembly) if a panel's data headers do not split
+    /// evenly across the columns, or if a unit's cells do not fill
+    /// exactly one segment per panel.
+    pub fn grid<R, C, P, F>(
+        rows: Vec<(String, R)>,
+        cols: Vec<(String, C)>,
+        panels: P,
+        unit: F,
+    ) -> Self
+    where
+        R: Clone + Send + 'static,
+        C: Clone + Send + 'static,
+        P: FnOnce(&[String]) -> Vec<Panel> + Send + 'static,
+        F: Fn(R, C, &mut TaskCtx) -> Vec<Cell> + Send + Sync + 'static,
+    {
+        let unit = Arc::new(unit);
+        let mut units = Vec::with_capacity(rows.len() * cols.len());
+        for (row, r) in &rows {
+            for (key, c) in &cols {
+                let label = if key.is_empty() { row.clone() } else { format!("{row}/{key}") };
+                let (unit, r, c) = (Arc::clone(&unit), r.clone(), c.clone());
+                units.push(Unit::new(label, move |ctx| UnitOut::Cells(unit(r, c, ctx))));
+            }
+        }
+        let labels: Vec<String> = rows.into_iter().map(|(label, _)| label).collect();
+        let keys: Vec<String> = cols.into_iter().map(|(key, _)| key).collect();
+        ExperimentPlan::new(units, move |outs| {
+            let panels = panels(&keys);
+            let ncols = keys.len();
+            let widths: Vec<usize> = panels
+                .iter()
+                .map(|p| {
+                    let data = p.headers.len() - 1;
+                    assert!(
+                        data % ncols == 0,
+                        "panel `{}`: {data} data headers do not split across {ncols} columns",
+                        p.title
+                    );
+                    data / ncols
+                })
+                .collect();
+            let width: usize = widths.iter().sum();
+            let segments: Vec<Vec<Cell>> = outs
+                .into_iter()
+                .map(|out| {
+                    let cells = out.into_cells();
+                    assert_eq!(cells.len(), width, "a grid unit must fill one segment per panel");
+                    cells
+                })
+                .collect();
+            let mut offset = 0;
+            let mut tables = Vec::with_capacity(panels.len());
+            for (panel, w) in panels.iter().zip(widths) {
+                let mut table =
+                    Table::new(panel.title, panel.headers.iter().map(String::as_str).collect());
+                for (label, row) in labels.iter().zip(segments.chunks(ncols)) {
+                    let mut cells = vec![Cell::from(label.as_str())];
+                    for seg in row {
+                        cells.extend_from_slice(&seg[offset..offset + w]);
+                    }
+                    table.push(cells);
+                }
+                offset += w;
+                tables.push(table);
+            }
+            tables
+        })
+    }
+
+    /// A [grid](ExperimentPlan::grid) with one keyless column: one unit
+    /// per row, labelled `"{row}"`.
+    pub fn per_row<R, P, F>(rows: Vec<(String, R)>, panels: P, unit: F) -> Self
+    where
+        R: Clone + Send + 'static,
+        P: FnOnce() -> Vec<Panel> + Send + 'static,
+        F: Fn(R, &mut TaskCtx) -> Vec<Cell> + Send + Sync + 'static,
+    {
+        let cols = vec![(String::new(), ())];
+        ExperimentPlan::grid(rows, cols, |_| panels(), move |r, (), ctx| unit(r, ctx))
+    }
+
     /// Number of units in the plan.
     pub fn unit_count(&self) -> usize {
         self.units.len()
+    }
+}
+
+/// One table of a [grid plan](ExperimentPlan::grid): its title and its
+/// header row (the row-label header first, then one header per cell a
+/// row carries across all the columns).
+pub struct Panel {
+    title: &'static str,
+    headers: Vec<String>,
+}
+
+impl Panel {
+    /// A panel titled `title` whose header row is `first` followed by
+    /// `headers`.
+    pub fn new<H: Into<String>>(
+        title: &'static str,
+        first: &str,
+        headers: impl IntoIterator<Item = H>,
+    ) -> Self {
+        let headers =
+            std::iter::once(first.to_owned()).chain(headers.into_iter().map(Into::into)).collect();
+        Panel { title, headers }
     }
 }
 
@@ -247,9 +350,10 @@ fn execute_unit(
 }
 
 /// Runs a plan's units in declaration order on the calling thread and
-/// assembles the tables — the serial reference the parallel scheduler is
-/// bit-compared against. `experiments::*::run` is implemented with this,
-/// so the legacy serial API and the suite produce identical bytes.
+/// assembles the tables — the serial reference [`run_suite`] is
+/// bit-compared against. [`crate::run_experiment`] is implemented with
+/// this, so the single-experiment API and the suite produce identical
+/// bytes.
 pub fn run_plan_serial(exp_id: &str, plan: ExperimentPlan, seed: u64) -> Vec<Table> {
     let root = DeterministicRng::seed_from(seed);
     let outs: Vec<UnitOut> = plan
@@ -319,7 +423,8 @@ pub struct ExperimentResult {
     pub id: &'static str,
     /// Human-readable title.
     pub title: &'static str,
-    /// The tables, identical to a serial `run(scale)`.
+    /// The tables, identical to [`crate::run_experiment`] at the same
+    /// scale under the default seed.
     pub tables: Vec<Table>,
     /// Number of units the experiment split into.
     pub unit_count: usize,
@@ -388,8 +493,8 @@ pub fn events_emitted(metrics: &MetricsRegistry) -> u64 {
 }
 
 impl SuiteResult {
-    /// Renders every experiment the way `figures` prints them and the
-    /// golden corpus stores them.
+    /// Renders every experiment the way `vswap figures` prints them and
+    /// the golden corpus stores them.
     pub fn rendered(&self) -> String {
         let mut out = String::new();
         for exp in &self.experiments {
@@ -400,8 +505,7 @@ impl SuiteResult {
 }
 
 /// Renders one experiment's header and tables — the canonical textual
-/// form shared by the `figures` binary, `vswap figures`, and the golden
-/// table corpus (so golden diffs point at real output lines).
+/// form shared by `vswap figures` and the golden table corpus (so golden diffs point at real output lines).
 pub fn render_experiment(id: &str, title: &str, tables: &[Table]) -> String {
     use std::fmt::Write as _;
     let mut out = String::new();
@@ -435,7 +539,7 @@ pub fn run_suite(opts: &SuiteOptions) -> SuiteResult {
     for id in &opts.only {
         assert!(
             registry.iter().any(|e| e.id == id),
-            "unknown experiment id `{id}`; run `figures` with no ids to list them"
+            "unknown experiment id `{id}`; `vswap list` lists them"
         );
     }
     let selected: Vec<_> = registry
@@ -516,14 +620,16 @@ mod tests {
             .map(|i| {
                 Unit::new(format!("unit{i}"), move |ctx: &mut TaskCtx| {
                     // The stream must be a stable function of the label.
-                    UnitOut::Value(ctx.rng.next_u64() as f64 + i as f64)
+                    UnitOut::Cells(vec![(ctx.rng.next_u64() as f64 + i as f64).into()])
                 })
             })
             .collect();
         ExperimentPlan::new(units, |outs| {
             let mut t = Table::new("tiny", vec!["i", "v"]);
             for (i, o) in outs.into_iter().enumerate() {
-                t.push(vec![format!("{i}").into(), o.into_value().into()]);
+                let mut row = vec![format!("{i}").into()];
+                row.extend(o.into_cells());
+                t.push(row);
             }
             vec![t]
         })
@@ -541,21 +647,78 @@ mod tests {
     #[test]
     #[should_panic(expected = "duplicate unit label")]
     fn duplicate_labels_are_rejected() {
-        let mk = || Unit::new("same", |_ctx: &mut TaskCtx| UnitOut::Value(0.0));
+        let mk = || Unit::new("same", |_ctx: &mut TaskCtx| UnitOut::Cells(Vec::new()));
         let _ = ExperimentPlan::new(vec![mk(), mk()], |_| Vec::new());
     }
 
     #[test]
     fn unit_out_unwrap_helpers() {
-        assert_eq!(UnitOut::Value(2.0).into_value(), 2.0);
         assert_eq!(UnitOut::Cells(vec![Cell::Int(1)]).into_cells(), vec![Cell::Int(1)]);
         assert!(UnitOut::Tables(Vec::new()).into_tables().is_empty());
     }
 
     #[test]
-    #[should_panic(expected = "expected Value")]
+    #[should_panic(expected = "expected Cells")]
     fn unit_out_mismatch_panics() {
-        let _ = UnitOut::Tables(Vec::new()).into_value();
+        let _ = UnitOut::Tables(Vec::new()).into_cells();
+    }
+
+    /// A 2 × 3 grid with two panels: panel `a` takes one cell per
+    /// column, panel `b` two.
+    fn toy_grid() -> ExperimentPlan {
+        let rows = vec![("r0".to_owned(), 0u64), ("r1".to_owned(), 1)];
+        let cols: Vec<(String, u64)> = (0..3).map(|c| (format!("c{c}"), c)).collect();
+        let panels = |keys: &[String]| {
+            assert_eq!(keys, ["c0", "c1", "c2"]);
+            vec![
+                Panel::new("a", "row", ["A0", "A1", "A2"]),
+                Panel::new("b", "row", ["B0x", "B0y", "B1x", "B1y", "B2x", "B2y"]),
+            ]
+        };
+        ExperimentPlan::grid(rows, cols, panels, |r, c, _ctx| {
+            let v = 10 * r + c;
+            vec![Cell::Int(v), Cell::Int(100 + v), Cell::Int(200 + v)]
+        })
+    }
+
+    #[test]
+    fn grid_labels_units_row_major_and_builds_one_table_per_panel() {
+        let plan = toy_grid();
+        let labels: Vec<&str> = plan.units.iter().map(Unit::label).collect();
+        assert_eq!(labels, ["r0/c0", "r0/c1", "r0/c2", "r1/c0", "r1/c1", "r1/c2"]);
+        let tables = run_plan_serial("toy", plan, 1);
+        let rows = |t: &Table| -> Vec<String> {
+            t.rows()
+                .iter()
+                .map(|r| r.iter().map(ToString::to_string).collect::<Vec<_>>().join(" "))
+                .collect()
+        };
+        assert_eq!(tables.iter().map(Table::title).collect::<Vec<_>>(), ["a", "b"]);
+        assert_eq!(tables[1].columns()[..3], ["row", "B0x", "B0y"]);
+        assert_eq!(rows(&tables[0]), ["r0 0 1 2", "r1 10 11 12"]);
+        assert_eq!(rows(&tables[1]), ["r0 100 200 101 201 102 202", "r1 110 210 111 211 112 212"]);
+    }
+
+    #[test]
+    fn per_row_labels_units_by_row_alone() {
+        let rows = vec![("x".to_owned(), 1u64), ("y".to_owned(), 2)];
+        let panels = || vec![Panel::new("t", "row", ["v"])];
+        let plan = ExperimentPlan::per_row(rows, panels, |r, _ctx| vec![Cell::Int(r)]);
+        assert_eq!(plan.units.iter().map(Unit::label).collect::<Vec<_>>(), ["x", "y"]);
+        let t = &run_plan_serial("toy", plan, 1)[0];
+        assert_eq!(t.value("y", "v"), Some(2.0));
+    }
+
+    #[test]
+    #[should_panic(expected = "do not split")]
+    fn grid_rejects_headers_that_do_not_split_across_columns() {
+        let cols = vec![("a".to_owned(), ()), ("b".to_owned(), ())];
+        let panels = |_: &[String]| vec![Panel::new("t", "row", ["only one"])];
+        let plan =
+            ExperimentPlan::grid(vec![("r".to_owned(), ())], cols, panels, |(), (), _ctx| {
+                vec![Cell::Missing]
+            });
+        let _ = run_plan_serial("toy", plan, 1);
     }
 
     #[test]

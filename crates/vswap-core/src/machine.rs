@@ -635,6 +635,12 @@ impl Machine {
         let now = self.clock.now();
         let flush_cost = self.preventer.flush_vm(&mut self.host, now, vm.0);
         let export = self.host.export_vm(vm.0);
+        self.lift_vm(vm, export, flush_cost)
+    }
+
+    /// Removes a VM's entry and packages it, with the host kernel's
+    /// `export` of its pages, as a migrant.
+    fn lift_vm(&mut self, vm: VmHandle, export: VmExport, flush_cost: SimDuration) -> MigratedVm {
         let idx = self.vms.iter().position(|e| e.id == vm.0).expect("unknown VM");
         let entry = self.vms.remove(idx);
         MigratedVm {
@@ -668,11 +674,10 @@ impl Machine {
         let now = self.clock.now();
         let dropped = self.preventer.dispose_vm(&mut self.host, now, vm.0);
         let crash = self.host.export_vm_crashed(vm.0);
-        let idx = self.vms.iter().position(|e| e.id == vm.0).expect("unknown VM");
-        let mut entry = self.vms.remove(idx);
+        let mut migrant = self.lift_vm(vm, crash.export, SimDuration::ZERO);
         let mut refaulted = 0u64;
         for &gfn in crash.lost.iter().chain(dropped.iter()) {
-            if entry.guest.crash_drop_page(gfn) {
+            if migrant.guest.crash_drop_page(gfn) {
                 refaulted += 1;
             }
         }
@@ -682,16 +687,7 @@ impl Machine {
             refaulted_pages: refaulted,
         });
         EvacuatedVm {
-            vm: MigratedVm {
-                spec: entry.spec,
-                guest: entry.guest,
-                slots: entry.slots,
-                next_slot: entry.next_slot,
-                history: entry.history,
-                prev_guest_swap_outs: 0,
-                export: crash.export,
-                flush_cost: SimDuration::ZERO,
-            },
+            vm: migrant,
             recovered_pages: recovered,
             refaulted_pages: refaulted,
             dropped_buffers: dropped.len() as u64,

@@ -100,14 +100,12 @@ pub enum PageState {
     /// Never materialized: nothing travels, the target zero-fills lazily.
     Untouched,
     /// Named page: an 8-byte reference into the shared disk image. The
-    /// target re-establishes the block association and, if `resident`,
-    /// re-reads the content from the (shared) image region.
+    /// target re-establishes the block association, and the page
+    /// arrives discarded and refaults from the (shared) image region (a
+    /// Mapper-less target installs the block's content instead).
     Named {
         /// The disk-image block holding the bytes.
         image_page: u64,
-        /// Whether the page was resident at handover (non-resident named
-        /// pages arrive discarded: zero target memory until refaulted).
-        resident: bool,
     },
     /// Anonymous content: 4 KiB crossed the wire; arrives resident and
     /// dirty on the target.
@@ -229,6 +227,15 @@ struct VmMm {
     /// must never (re)associate a guest page with them. Chunked, since
     /// only fault injection ever sets a flag.
     suspect: ChunkedTable<bool, 4096>,
+}
+
+impl VmMm {
+    /// The image block a guest page is *named* by — its Mapper block
+    /// association — or `None` for anonymous content (always `None`
+    /// without the Mapper).
+    fn named_page(&self, gfn: Gfn) -> Option<u64> {
+        self.origin.page_for_gfn(gfn).filter(|_| self.mapper_enabled)
+    }
 }
 
 /// The host kernel model. See the crate docs for an overview and an
@@ -543,13 +550,10 @@ impl HostKernel {
     pub fn page_residency(&self, vm: VmId, gfn: Gfn) -> PageResidency {
         let mm = &self.vms[vm.index()];
         match mm.ept.translate(gfn) {
-            Some(_) => {
-                if mm.origin.page_for_gfn(gfn).is_some() && mm.mapper_enabled {
-                    PageResidency::ResidentNamed
-                } else {
-                    PageResidency::ResidentAnon
-                }
-            }
+            Some(_) => match mm.named_page(gfn) {
+                Some(_) => PageResidency::ResidentNamed,
+                None => PageResidency::ResidentAnon,
+            },
             None => match mm.ept.backing(gfn).expect("non-present") {
                 Backing::None => PageResidency::Untouched,
                 Backing::SwapSlot(_) => PageResidency::Swapped,
@@ -609,69 +613,46 @@ impl HostKernel {
     /// the swap readback I/O (see
     /// [`HostKernel::migration_read_swapped`]).
     pub fn export_vm(&mut self, vm: VmId) -> VmExport {
-        let gfn_count = self.vms[vm.index()].ept.gfn_count();
-        let mut pages = Vec::with_capacity(gfn_count as usize);
-        for g in 0..gfn_count {
-            let gfn = Gfn::new(g);
-            let mm = &self.vms[vm.index()];
-            let state = match mm.ept.translate(gfn) {
-                Some(frame) => match mm.origin.page_for_gfn(gfn) {
-                    Some(page) if mm.mapper_enabled && !self.frames.dirty(frame) => {
-                        PageState::Named { image_page: page, resident: true }
-                    }
-                    _ => PageState::Anon { label: self.frames.label(frame) },
-                },
-                None => match mm.ept.backing(gfn).expect("non-present") {
-                    Backing::None => PageState::Untouched,
-                    Backing::SwapSlot(slot) => {
-                        PageState::Anon { label: self.swap.get(slot).expect("occupied slot").label }
-                    }
-                    Backing::ImagePage(page) => {
-                        PageState::Named { image_page: page, resident: false }
-                    }
-                },
-            };
-            pages.push(state);
-        }
-        let cfg = VmMmConfig {
-            gfn_count,
-            image_pages: self.vms[vm.index()].image.pages(),
-            mem_limit_pages: self.vms[vm.index()].mem_limit,
-            mapper_enabled: self.vms[vm.index()].mapper_enabled,
-        };
-        let protected_below = self.vms[vm.index()].protected_below;
-        let image = self.release_vm(vm);
-        VmExport { cfg, image, pages, protected_below }
+        self.detach_vm(vm, true).export
     }
 
     /// Detaches a VM from a *crashed* host. Unlike [`HostKernel::export_vm`]
     /// the host's DRAM is gone, so only state with an on-disk record
-    /// survives: Mapper block references (clean named pages), discarded
-    /// associations, and swap-slot records are replayed into the wire
-    /// state; every resident page whose sole copy was DRAM — dirty
-    /// frames, unassociated anonymous content, and *all* resident pages
-    /// on a Mapper-less host — is exported as untouched and listed in
-    /// `lost`, so the caller can invalidate it guest-side and the guest
-    /// re-faults it. Nothing is ever silently dropped: a page is either
-    /// recovered or reported lost.
+    /// survives: Mapper block references (named pages, resident or
+    /// discarded) and swap-slot records are replayed into the wire
+    /// state; every resident page whose sole copy was DRAM — anonymous
+    /// content, and *all* resident pages on a Mapper-less host — is
+    /// exported as untouched and listed in `lost`, so the caller can
+    /// invalidate it guest-side and the guest re-faults it. Nothing is
+    /// ever silently dropped: a page is either recovered or reported
+    /// lost.
     pub fn export_vm_crashed(&mut self, vm: VmId) -> CrashExport {
-        let gfn_count = self.vms[vm.index()].ept.gfn_count();
+        self.detach_vm(vm, false)
+    }
+
+    /// Classifies every guest page into its wire state and releases the
+    /// VM. A named page (one with a Mapper block association, which the
+    /// audit guarantees is clean) travels as a reference and a swapped
+    /// page as its slot record's content, whether or not the host's DRAM
+    /// survived; a resident anonymous page travels as content only if it
+    /// did, and is otherwise listed as lost.
+    fn detach_vm(&mut self, vm: VmId, dram_survived: bool) -> CrashExport {
+        let mm = &self.vms[vm.index()];
+        let gfn_count = mm.ept.gfn_count();
         let mut pages = Vec::with_capacity(gfn_count as usize);
         let mut lost = Vec::new();
         let mut recovered_refs = 0u64;
         let mut recovered_slots = 0u64;
         for g in 0..gfn_count {
             let gfn = Gfn::new(g);
-            let mm = &self.vms[vm.index()];
             let state = match mm.ept.translate(gfn) {
-                Some(frame) => match mm.origin.page_for_gfn(gfn) {
-                    Some(page) if mm.mapper_enabled && !self.frames.dirty(frame) => {
-                        // The block reference survives on shared storage.
+                Some(frame) => match mm.named_page(gfn) {
+                    Some(image_page) => {
                         recovered_refs += 1;
-                        PageState::Named { image_page: page, resident: false }
+                        PageState::Named { image_page }
                     }
-                    _ => {
-                        // The only copy was the crashed host's DRAM.
+                    None if dram_survived => PageState::Anon { label: self.frames.label(frame) },
+                    None => {
                         lost.push(gfn);
                         PageState::Untouched
                     }
@@ -679,13 +660,12 @@ impl HostKernel {
                 None => match mm.ept.backing(gfn).expect("non-present") {
                     Backing::None => PageState::Untouched,
                     Backing::SwapSlot(slot) => {
-                        // The slot record survives on the host's disk.
                         recovered_slots += 1;
                         PageState::Anon { label: self.swap.get(slot).expect("occupied slot").label }
                     }
-                    Backing::ImagePage(page) => {
+                    Backing::ImagePage(image_page) => {
                         recovered_refs += 1;
-                        PageState::Named { image_page: page, resident: false }
+                        PageState::Named { image_page }
                     }
                 },
             };
@@ -693,11 +673,11 @@ impl HostKernel {
         }
         let cfg = VmMmConfig {
             gfn_count,
-            image_pages: self.vms[vm.index()].image.pages(),
-            mem_limit_pages: self.vms[vm.index()].mem_limit,
-            mapper_enabled: self.vms[vm.index()].mapper_enabled,
+            image_pages: mm.image.pages(),
+            mem_limit_pages: mm.mem_limit,
+            mapper_enabled: mm.mapper_enabled,
         };
-        let protected_below = self.vms[vm.index()].protected_below;
+        let protected_below = mm.protected_below;
         let image = self.release_vm(vm);
         CrashExport {
             export: VmExport { cfg, image, pages, protected_below },
@@ -789,7 +769,7 @@ impl HostKernel {
             let gfn = Gfn::new(g as u64);
             match state {
                 PageState::Untouched => {}
-                PageState::Named { image_page, resident: _ } => {
+                PageState::Named { image_page } => {
                     if self.vms[vm.index()].mapper_enabled {
                         // §7: the target avoids requesting pages it can
                         // re-map from shared storage. Named pages land
@@ -1983,9 +1963,15 @@ impl HostKernel {
         for (frame, owner) in self.frames.iter_allocated() {
             let (vm, expect_listed) = match owner {
                 FrameOwner::Guest { vm, gfn } => {
-                    let got = self.vms[vm.index()].ept.translate(gfn);
+                    let mm = &self.vms[vm.index()];
+                    let got = mm.ept.translate(gfn);
                     if got != Some(frame) {
                         return Err(format!("{frame} claims {vm}/{gfn} but EPT says {got:?}"));
+                    }
+                    // A block association promises the frame equals its
+                    // image block; a write must have broken it.
+                    if self.frames.dirty(frame) && mm.origin.page_for_gfn(gfn).is_some() {
+                        return Err(format!("{frame} of {vm}/{gfn} is dirty but still associated"));
                     }
                     (vm, true)
                 }

@@ -46,3 +46,29 @@ fn unknown_command_fails_with_usage() {
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(stderr.contains("unknown command"));
 }
+
+#[test]
+fn verify_tables_rejects_figures_only_options() {
+    for args in
+        [&["verify-tables", "--seed", "9", "fig03"][..], &["verify-tables", "--smoke", "fig03"]]
+    {
+        let out = vswap(args);
+        assert!(!out.status.success(), "{args:?} must fail instead of ignoring the option");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains("`verify-tables` does not take"), "{args:?}: {stderr}");
+    }
+}
+
+#[test]
+fn figures_rejects_verify_tables_only_options() {
+    for args in [
+        &["figures", "--smoke", "--bless", "fig15"][..],
+        &["figures", "--smoke", "--dump-dir", "tables", "fig15"],
+        &["figures", "--smoke", "--bench-out", "b.json", "fig15"],
+    ] {
+        let out = vswap(args);
+        assert!(!out.status.success(), "{args:?} must fail instead of ignoring the option");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains("`figures` does not take"), "{args:?}: {stderr}");
+    }
+}

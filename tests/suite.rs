@@ -2,8 +2,8 @@
 //! identical for every worker count — tables and merged metrics both.
 //!
 //! A smoke-scale subset keeps this fast enough for every `cargo test`;
-//! CI's `vswap verify-tables --jobs 2` exercises the full sixteen
-//! experiments against the golden corpus on top.
+//! CI's `vswap verify-tables --jobs 2` exercises every registered
+//! experiment against the golden corpus on top.
 
 use vswap_bench::suite::{run_suite, SuiteOptions, DEFAULT_SEED};
 use vswap_bench::Scale;
@@ -37,16 +37,11 @@ fn suite_matches_the_legacy_serial_api() {
     use vswap_bench::suite::render_experiment;
     let suite = run_suite(&SuiteOptions::new(Scale::Smoke).with_jobs(4).with_only(subset()));
     for exp in &suite.experiments {
-        let legacy = vswap_bench::suite_experiments()
-            .into_iter()
-            .find(|e| e.id == exp.id)
-            .expect("registered");
-        let direct = (legacy.run)(Scale::Smoke);
+        let direct = vswap_bench::run_experiment(exp.id, Scale::Smoke);
         assert_eq!(
             render_experiment(exp.id, exp.title, &exp.tables),
             render_experiment(exp.id, exp.title, &direct),
-            "{}: run_suite and {}::run must agree",
-            exp.id,
+            "{}: run_suite and run_experiment must agree",
             exp.id
         );
     }
@@ -76,4 +71,40 @@ fn suite_reports_per_experiment_unit_counts() {
     assert_eq!(units["fig05"], 12, "one unit per (policy, MB) sweep point");
     assert_eq!(units["fig15"], 1, "a traced machine is indivisible");
     assert!(suite.metrics.scopes().any(|s| s.starts_with("fig03/")), "task metrics are namespaced");
+}
+
+/// The unit decomposition of every registered experiment, pinned without
+/// running anything: a unit's label names its RNG stream and metrics
+/// scope, so a changed count changes the suite's output.
+#[test]
+fn every_experiment_plans_its_pinned_unit_count() {
+    let expected = [
+        ("fig03", 4),
+        ("fig04", 4),
+        ("fig05", 12),
+        ("fig09", 3),
+        ("fig10", 4),
+        ("fig11", 24),
+        ("fig12", 20),
+        ("fig13", 20),
+        ("fig14", 12),
+        ("fig15", 1),
+        ("tab01", 1),
+        ("tab02", 3),
+        ("tab03", 4),
+        ("tab04", 4),
+        ("tab05", 4),
+        ("ablate", 6),
+        ("chaos", 6),
+        ("latency", 4),
+        ("cluster", 12),
+        ("devices", 18),
+        ("cluster-chaos", 20),
+    ];
+    let planned: Vec<(&str, usize)> = vswap_bench::suite_experiments()
+        .iter()
+        .map(|e| (e.id, (e.plan)(Scale::Smoke).unit_count()))
+        .collect();
+    assert_eq!(planned, expected);
+    assert_eq!(planned.iter().map(|(_, n)| n).sum::<usize>(), 186);
 }
